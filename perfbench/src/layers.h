@@ -14,8 +14,10 @@
 namespace perfbench {
 
 // Execute() wall time, split by the read-only flag, summed over every replica that wraps
-// its service with the same ExecuteStats.
+// its service with the same ExecuteStats. Nothing is timed until `on` is set, so before that
+// the decorator costs one forwarding call and one relaxed load per Execute().
 struct ExecuteStats {
+  std::atomic<bool> on{false};
   std::atomic<uint64_t> read_ns{0};
   std::atomic<uint64_t> reads{0};
   std::atomic<uint64_t> write_ns{0};

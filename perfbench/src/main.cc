@@ -126,13 +126,18 @@ std::string HostJson(const RunConfig& config, double ref_loop_ms) {
 }
 
 // End-to-end figures of one round. The first kGatedMetrics are the benchmark's gated
-// end-to-end metrics: set-up time and the two costs that are charged in CPU time or bytes,
+// end-to-end metrics: set-up and per-op cost, both charged in CPU time, and peak memory,
 // which hold within their bounds on a shared host. The rest are reported with every run but
 // not gated: wall-clock rates and latencies follow the host (they fell two- to threefold for
 // minutes at a time on the reference VM while the hypervisor stole cycles), some apply to
 // one workload only, and the tails are decided by a handful of rare events per round.
 constexpr size_t kGatedMetrics = 3;
 constexpr int kRounds = 5;
+// Set-ups timed on their own after each round; with the rounds' own, setup_s is the median
+// of all of them. They are spread over the whole run because the host's speed for the same
+// set-up shifts by up to 40% in spells of 5-10 s. A null set-up takes milliseconds, so it is
+// sampled 4 times per round; a KV set-up orders the 8192-key preload, about a second, so once.
+int SetUpProbes(const WorkloadSpec& spec) { return spec.kv ? 1 : 4; }
 struct RoundFigures {
   std::vector<Metric> metrics;
   uint64_t attempted = 0;
@@ -140,7 +145,7 @@ struct RoundFigures {
   uint64_t certified = 0;  // certificates that arrived inside the window
 };
 
-RoundFigures Figures(const RtRunResult& r) {
+RoundFigures Figures(const WorkloadSpec& spec, const RtRunResult& r) {
   RoundFigures f;
   for (const Sample& s : r.samples) {
     if (s.start_ns >= r.t0_ns && s.start_ns < r.t1_ns) {
@@ -156,34 +161,31 @@ RoundFigures Figures(const RtRunResult& r) {
     return Quantile(LatenciesUs(r.samples, r.t0_ns, r.t1_ns, cls), 0.5);
   };
   f.metrics = {
-      {"setup_s", r.setup_s, "s"},
+      {"setup_s", r.setup.cpu_s, "s"},
       {"cpu_us_per_op", Ratio(Delta(r, "ru.cpu_us"), static_cast<double>(f.certified)), "us"},
       {"peak_rss_mb", r.peak_rss_mb, "MB"},
       // Not gated from here on.
+      {"setup_wall_s", r.setup.wall_s, "s"},
       {"ops_per_s", static_cast<double>(f.certified) / window_s, "1/s"},
       {"p50_us", Quantile(all, 0.5), "us"},
-      {"write_p50_us", p50(OpClass::kWrites), "us"},
-      {"read_p50_us", p50(OpClass::kReads), "us"},
       {"p99_us", Quantile(all, 0.99), "us"},
       {"p999_us", Quantile(all, 0.999), "us"},
       {"fail_ratio", Ratio(static_cast<double>(f.failed), static_cast<double>(f.attempted)),
        "ratio"},
-      {"outage_ms", std::max(0.0, r.outage_ms), "ms"},
-      {"catchup_ms", std::max(0.0, r.catchup_ms), "ms"},
       {"retransmissions", Delta(r, "bft_client_retransmissions_total"), "count"},
       {"state_transfers", Delta(r, "bft_state_transfers_total"), "count"},
       {"view_changes", Delta(r, "bft_view_changes_started_total"), "count"},
   };
-  return f;
-}
-
-double FigureOf(const RoundFigures& f, const std::string& name) {
-  for (const Metric& m : f.metrics) {
-    if (m.name == name) {
-      return m.value;
-    }
+  if (spec.kv) {
+    f.metrics.push_back({"write_p50_us", p50(OpClass::kWrites), "us"});
+    f.metrics.push_back({"read_p50_us", p50(OpClass::kReads), "us"});
   }
-  return 0;
+  if (spec.failover) {
+    // -1 when the event never happened: a failed failover round.
+    f.metrics.push_back({"outage_ms", r.outage_ms, "ms"});
+    f.metrics.push_back({"catchup_ms", r.catchup_ms, "ms"});
+  }
+  return f;
 }
 
 // Per-layer metrics of a traced round: counts and times per certified op in the traced
@@ -203,7 +205,10 @@ std::vector<Metric> LayerMetrics(const RunConfig& config, const RtRunResult& r,
   for (int64_t ns : r.lateness_ns) {
     late.push_back(static_cast<double>(ns) / 1e6);
   }
-  const std::vector<double> untraced = LatenciesUs(r.samples, r.r0_ns, r.r1_ns, OpClass::kAll);
+  const double traced_p50 =
+      Quantile(LatenciesUs(r.samples, r.t0_ns, r.t1_ns, OpClass::kAll), 0.5);
+  const double untraced_p50 =
+      Quantile(LatenciesUs(r.samples, r.r0_ns, r.r1_ns, OpClass::kAll), 0.5);
   const CodecCosts codec = MeasureCodecCosts();
   const SimCounts sim = RunSimCounts(config.spec, config.seed, config.endpoints, 500);
   return {
@@ -249,17 +254,7 @@ std::vector<Metric> LayerMetrics(const RunConfig& config, const RtRunResult& r,
       {"bench.gen_lag_p99_ms", Quantile(late, 0.99), "ms"},
       {"bench.gen_lag_max_ms", late.empty() ? 0 : *std::max_element(late.begin(), late.end()),
        "ms"},
-      {"bench.trace_overhead",
-       Ratio(FigureOf(f, "p50_us"), Quantile(untraced, 0.5)), "ratio"},
-      {"bench.ops_per_s", FigureOf(f, "ops_per_s"), "1/s"},
-      {"bench.p50_us", FigureOf(f, "p50_us"), "us"},
-      {"bench.write_p50_us", FigureOf(f, "write_p50_us"), "us"},
-      {"bench.read_p50_us", FigureOf(f, "read_p50_us"), "us"},
-      {"bench.p99_us", FigureOf(f, "p99_us"), "us"},
-      {"bench.p999_us", FigureOf(f, "p999_us"), "us"},
-      {"bench.fail_ratio", FigureOf(f, "fail_ratio"), "ratio"},
-      {"failover.outage_ms", FigureOf(f, "outage_ms"), "ms"},
-      {"failover.catchup_ms", FigureOf(f, "catchup_ms"), "ms"},
+      {"bench.trace_overhead", Ratio(traced_p50, untraced_p50), "ratio"},
       {"sim.msgs_per_op", sim.msgs_per_op, "count"},
       {"sim.bytes_per_op", sim.bytes_per_op, "B"},
       {"sim.macs_per_op", sim.macs_per_op, "count"},
@@ -348,40 +343,79 @@ int Main(int argc, char** argv) {
   const int rounds = config.trace ? 1 : std::min(kRounds, static_cast<int>(config.seconds));
   RunConfig round = config;
   round.seconds = config.seconds / rounds;
+  std::vector<SetUpCost> setups;
   std::vector<RoundFigures> figures;
   std::vector<std::string> violations;
   std::vector<Metric> layer;
   uint64_t attempted = 0;
   uint64_t failed = 0;
+  int failed_failovers = 0;  // rounds whose failover did not complete; see RtRunResult
   for (int i = 0; i < rounds; ++i) {
     RtRunResult r = RunRealClock(round);
-    figures.push_back(Figures(r));
+    figures.push_back(Figures(config.spec, r));
+    setups.push_back(r.setup);
     attempted += figures.back().attempted;
     failed += figures.back().failed;
     violations.insert(violations.end(), r.violations.begin(), r.violations.end());
+    if (config.spec.failover && (r.outage_ms < 0 || r.catchup_ms < 0)) {
+      ++failed_failovers;
+      std::fprintf(stderr, "pbft_bench: round %d: failed failover: %s\n", i,
+                   r.outage_ms < 0 ? "no write due after the crash certified in the window"
+                                   : "the restarted replica had not caught up 10 s after it");
+    }
     if (config.trace) {
       layer = LayerMetrics(config, r, figures.back(), ref_loop_ms);
     }
+    // After the round, so that the first round's cluster is the first in the process and
+    // peak_rss_mb is its footprint alone.
+    for (int p = 0; !config.trace && p < SetUpProbes(config.spec); ++p) {
+      setups.push_back(TimeSetUp(round));
+    }
   }
 
+  std::vector<double> setup_cpu;
+  std::vector<double> setup_wall;
+  for (const SetUpCost& s : setups) {
+    setup_cpu.push_back(s.cpu_s);
+    setup_wall.push_back(s.wall_s);
+  }
   std::vector<Metric> combined = figures[0].metrics;
   std::string per_round;
   for (size_t m = 0; m < combined.size(); ++m) {
     std::vector<double> values;
+    std::vector<double> measured;  // without the -1 of an event that never happened
     for (const RoundFigures& f : figures) {
       values.push_back(f.metrics[m].value);
+      if (f.metrics[m].value >= 0) {
+        measured.push_back(f.metrics[m].value);
+      }
     }
-    // ru_maxrss is a process high-water mark: after the first round it also holds what the
-    // allocator kept from earlier clusters, so the first round is one cluster's footprint.
-    combined[m].value = combined[m].name == "peak_rss_mb" ? values.front() : Median(values);
+    const std::string& name = combined[m].name;
+    if (name == "setup_s") {
+      combined[m].value = Median(setup_cpu);
+    } else if (name == "setup_wall_s") {
+      combined[m].value = Median(setup_wall);
+    } else if (name == "peak_rss_mb") {
+      // ru_maxrss is a process high-water mark: after the first round it also holds what
+      // the allocator kept from earlier clusters, so the first round is one cluster's
+      // footprint.
+      combined[m].value = values.front();
+    } else {
+      combined[m].value = measured.empty() ? -1 : Median(measured);
+    }
     std::string list;
     for (double v : values) {
       list += (list.empty() ? "" : ", ") + Num(v);
     }
     per_round += (m ? ", " : "") + Quote(combined[m].name) + ": [" + list + "]";
   }
-  std::printf("{\"detail\": %s, \"rounds\": {%s}}\n", MetricsJson(combined).c_str(),
-              per_round.c_str());
+  std::string setup_list;
+  for (double v : setup_cpu) {
+    setup_list += (setup_list.empty() ? "" : ", ") + Num(v);
+  }
+  per_round += ", \"setup_s_all\": [" + setup_list + "]";
+  std::printf("{\"detail\": %s, \"rounds\": {%s}, \"failed_failover_rounds\": %d}\n",
+              MetricsJson(combined).c_str(), per_round.c_str(), failed_failovers);
   for (const std::string& v : violations) {
     std::fprintf(stderr, "pbft_bench: correctness violation: %s\n", v.c_str());
   }

@@ -33,6 +33,14 @@ int64_t NowNs() {
       .count();
 }
 
+// User + system CPU time of the whole process.
+double ProcessCpuUs() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1e6 +
+         static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+}
+
 void SleepUntilNs(int64_t t) {
   std::this_thread::sleep_until(std::chrono::steady_clock::time_point(std::chrono::nanoseconds(t)));
 }
@@ -120,7 +128,7 @@ class LoadEndpoint {
   void StartLoad(int64_t start_ns) {
     idle_.store(false, std::memory_order_release);
     node_->Post([this, start_ns]() {
-      if (spec_.open_loop) {
+      if (spec_.kv) {
         ScheduleArrival(start_ns);
       } else {
         IssueClosed();
@@ -231,7 +239,7 @@ class LoadEndpoint {
         shared_->first_write_after_crash_ns.compare_exchange_strong(none, now);
       }
     }
-    if (spec_.open_loop) {
+    if (spec_.kv) {
       if (!queue_.empty()) {
         IssueQueued();
       } else {
@@ -372,7 +380,9 @@ double WaitCaughtUp(bft::RtCluster& cluster, int i, int64_t since, int64_t deadl
   return -1;
 }
 
-Live SetUp(const RunConfig& config, Shared* shared, ExecuteStats* exec_stats) {
+Live SetUp(const RunConfig& config, Shared* shared, ExecuteStats* exec_stats, SetUpCost* cost) {
+  const double cpu_start = ProcessCpuUs();
+  const int64_t wall_start = NowNs();
   bft::RtClusterOptions options;
   options.config = BenchReplicaConfig(config.spec);
   options.seed = config.seed;
@@ -422,6 +432,8 @@ Live SetUp(const RunConfig& config, Shared* shared, ExecuteStats* exec_stats) {
   if (!WaitSettled(*live.cluster, 20 * kSec)) {
     throw std::runtime_error("set-up: replicas did not settle after set-up");
   }
+  cost->cpu_s = (ProcessCpuUs() - cpu_start) / 1e6;
+  cost->wall_s = static_cast<double>(NowNs() - wall_start) / 1e9;
   return live;
 }
 
@@ -450,8 +462,7 @@ Snapshot TakeSnapshot(bft::RtCluster& cluster, const ExecuteStats* exec_stats) {
   auto& v = snap.values;
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
-  v["ru.cpu_us"] = static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) * 1e6 +
-                   static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec);
+  v["ru.cpu_us"] = ProcessCpuUs();
   v["ru.nvcsw"] = static_cast<double>(ru.ru_nvcsw);
   v["ru.nivcsw"] = static_cast<double>(ru.ru_nivcsw);
   bft::MetricsRegistry& registry = cluster.metrics();
@@ -547,15 +558,21 @@ void CheckReads(const std::vector<std::unique_ptr<LoadEndpoint>>& endpoints,
 
 }  // namespace
 
+SetUpCost TimeSetUp(const RunConfig& config) {
+  Shared shared;
+  SetUpCost cost;
+  Live live = SetUp(config, &shared, nullptr, &cost);
+  live.cluster->Stop();
+  return cost;
+}
+
 RtRunResult RunRealClock(const RunConfig& config) {
   RtRunResult result;
   Shared shared;
   ExecuteStats exec_stats;
   ExecuteStats* exec = config.trace ? &exec_stats : nullptr;
 
-  int64_t setup_start = NowNs();
-  Live live = SetUp(config, &shared, exec);
-  result.setup_s = static_cast<double>(NowNs() - setup_start) / 1e9;
+  Live live = SetUp(config, &shared, exec, &result.setup);
   bft::RtCluster& cluster = *live.cluster;
 
   LoopClocks clocks;
@@ -584,6 +601,7 @@ RtRunResult RunRealClock(const RunConfig& config) {
   SleepUntilNs(result.t0_ns);
   if (config.trace) {
     cluster.tracer().set_sample_every(1);
+    exec_stats.on.store(true, std::memory_order_relaxed);
   }
   result.begin = TakeSnapshot(cluster, exec);
   AddLoopCpu(clocks, &result.begin);
@@ -601,6 +619,8 @@ RtRunResult RunRealClock(const RunConfig& config) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     int64_t resumed = shared.first_write_after_crash_ns.load();
+    // If no write resumes before the window closes, replica 0 is not restarted and the round
+    // is a failed failover round: outage_ms and catchup_ms stay -1.
     if (resumed != 0) {
       result.outage_ms = static_cast<double>(resumed - crash) / 1e6;
       // The restarted replica's MAC-cache probes replace the crashed one's frozen totals
@@ -638,6 +658,8 @@ RtRunResult RunRealClock(const RunConfig& config) {
     }
   }
   if (restart_ns != 0 && result.catchup_ms < 0) {
+    // Still -1 after this, the round is a failed failover round; if the restarted replica
+    // never catches up, the settle and agreement checks below fail the run as well.
     result.catchup_ms = WaitCaughtUp(cluster, 0, restart_ns, NowNs() + 10 * kSec);
   }
   if (!WaitSettled(cluster, 20 * kSec)) {

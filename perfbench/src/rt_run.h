@@ -37,8 +37,16 @@ struct Snapshot {
   std::map<std::string, double> values;
 };
 
+// One set-up: construction, Start(), each client's first op, the KV preload, and the wait
+// until the replicas agree. `cpu_s` is process CPU time over every thread, which a
+// host that steals cycles does not inflate; `wall_s` is elapsed time.
+struct SetUpCost {
+  double cpu_s = 0;
+  double wall_s = 0;
+};
+
 struct RtRunResult {
-  double setup_s = 0;
+  SetUpCost setup;
   // Measured window [t0, t1) on the steady clock; in trace runs, [r0, r1) is the untraced
   // reference window that precedes it.
   int64_t t0_ns = 0;
@@ -52,13 +60,16 @@ struct RtRunResult {
   Snapshot begin;  // at t0
   Snapshot end;    // at t1 (failover: rt_node CPU clocks stop at the crash)
   double peak_rss_mb = 0;
-  // Failover only; -1 when the event never happened.
+  // Failover only; -1 when the event never happened (a failed failover round).
   double outage_ms = -1;
   double catchup_ms = -1;
 };
 
 // One round on a freshly set-up cluster.
 RtRunResult RunRealClock(const RunConfig& config);
+
+// Sets up a cluster as a round does and stops it again, untimed.
+SetUpCost TimeSetUp(const RunConfig& config);
 
 }  // namespace perfbench
 

@@ -19,16 +19,11 @@ std::optional<WorkloadSpec> FindWorkload(const std::string& name) {
     return spec;
   }
   spec.kv = true;
-  spec.open_loop = true;
   spec.state_pages = 2048;
   if (name == "kv_open") {
-    // 2000/s, not more: on a host whose speed halves, per-endpoint utilisation stays near
-    // 0.25 and p50 still measures service time instead of queueing behind the host.
-    spec.rate = 2000;
     return spec;
   }
   if (name == "kv_failover") {
-    spec.rate = 2000;
     spec.failover = true;
     return spec;
   }
@@ -103,7 +98,7 @@ uint64_t Mix(uint64_t seed, uint64_t salt) {
 OpStream::OpStream(const WorkloadSpec& spec, uint64_t seed, int endpoint, int endpoints)
     : spec_(spec),
       endpoint_(endpoint),
-      rate_(spec.rate / endpoints),
+      rate_(kKvRate / endpoints),
       rng_(Mix(seed, 2 * static_cast<uint64_t>(endpoint) + 1)),
       zipf_(kNumKeys, kZipfTheta, Mix(seed, 2 * static_cast<uint64_t>(endpoint) + 2)),
       key_mul_((Mix(seed, 0x6b6579) | 1) % kNumKeys),
@@ -111,7 +106,7 @@ OpStream::OpStream(const WorkloadSpec& spec, uint64_t seed, int endpoint, int en
 
 GenOp OpStream::Next() {
   GenOp g;
-  if (spec_.open_loop) {
+  if (spec_.kv) {
     // Exponential gaps: Poisson arrivals. 1 - U is in (0, 1], so the log is finite.
     g.gap_s = -std::log(1.0 - rng_.Uniform()) / rate_;
   }

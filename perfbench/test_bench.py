@@ -20,6 +20,12 @@ RUN = [sys.executable, os.path.join(ROOT, "perfbench", "run.py")]
 with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
     SPEC = json.load(f)
 WORKLOADS = [w["name"] for w in SPEC["workloads"]]
+# End-to-end figures every untraced run prints in its detail line, gated or not, by unit.
+DETAIL_UNITS = {"setup_s": "s", "setup_wall_s": "s", "cpu_us_per_op": "us", "peak_rss_mb": "MB",
+                "ops_per_s": "1/s", "p50_us": "us", "p99_us": "us", "p999_us": "us",
+                "fail_ratio": "ratio"}
+KV_DETAIL_UNITS = {"write_p50_us": "us", "read_p50_us": "us"}
+FAILOVER_DETAIL_UNITS = {"outage_ms": "ms", "catchup_ms": "ms"}
 
 
 def bench(*args, cwd=ROOT):
@@ -29,6 +35,10 @@ def bench(*args, cwd=ROOT):
 
 def result_of(proc):
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def detail_of(proc):
+    return json.loads(proc.stdout.strip().splitlines()[-2])["detail"]
 
 
 class BenchmarkTest(unittest.TestCase):
@@ -45,11 +55,23 @@ class BenchmarkTest(unittest.TestCase):
         for m in expected:
             self.assertEqual(printed[m["name"]]["unit"], m["unit"], m["name"])
             self.assertIsInstance(printed[m["name"]]["value"], (int, float), m["name"])
+        return proc
 
     def test_short_runs_print_every_metric_with_its_unit(self):
         for workload in WORKLOADS:
             with self.subTest(workload=workload, trace=0):
-                self.check_metrics(workload, 0, SPEC["end_to_end"])
+                proc = self.check_metrics(workload, 0, SPEC["end_to_end"])
+                units = dict(DETAIL_UNITS)
+                if workload != "null_closed":
+                    units.update(KV_DETAIL_UNITS)
+                if workload == "kv_failover":
+                    units.update(FAILOVER_DETAIL_UNITS)
+                detail = detail_of(proc)
+                for name, unit in units.items():
+                    self.assertEqual(detail[name]["unit"], unit, name)
+                for name in FAILOVER_DETAIL_UNITS:
+                    if name in units:  # measured, never a stand-in for an event that did not happen
+                        self.assertGreater(detail[name]["value"], 0, name)
             with self.subTest(workload=workload, trace=1):
                 self.check_metrics(workload, 1, SPEC["per_layer"])
 
