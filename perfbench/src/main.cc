@@ -95,12 +95,20 @@ uint64_t CompletedIn(const std::vector<Sample>& samples, int64_t from, int64_t t
   return n;
 }
 
-double Delta(const RtRunResult& r, const std::string& key) {
+double Delta(const Snapshot& begin, const Snapshot& end, const std::string& key) {
   auto get = [&key](const Snapshot& s) {
     auto it = s.values.find(key);
     return it == s.values.end() ? 0.0 : it->second;
   };
-  return get(r.end) - get(r.begin);
+  return get(end) - get(begin);
+}
+
+double Delta(const RtRunResult& r, const std::string& key) { return Delta(r.begin, r.end, key); }
+
+// State transfers from the window's start through the drain; on kv_failover this includes
+// the restarted replica's rejoin, which follows the drain.
+double TransferDelta(const RtRunResult& r, const std::string& key) {
+  return Delta(r.begin, r.after_catchup, key);
 }
 
 double Ratio(double num, double den) { return den > 0 ? num / den : 0; }
@@ -122,6 +130,7 @@ std::string HostJson(const RunConfig& config, double ref_loop_ms) {
          ", \"workload\": " + Quote(config.spec.name) + ", \"seed\": " +
          std::to_string(config.seed) + ", \"seconds\": " + Num(config.seconds) +
          ", \"trace\": " + (config.trace ? "true" : "false") +
+         ", \"view_change_timeout_ms\": " + Num(static_cast<double>(kViewChangeTimeout) / 1e6) +
          ", \"ref_loop_ms\": " + Num(ref_loop_ms) + "}}";
 }
 
@@ -173,7 +182,7 @@ RoundFigures Figures(const WorkloadSpec& spec, const RtRunResult& r) {
       {"fail_ratio", Ratio(static_cast<double>(f.failed), static_cast<double>(f.attempted)),
        "ratio"},
       {"retransmissions", Delta(r, "bft_client_retransmissions_total"), "count"},
-      {"state_transfers", Delta(r, "bft_state_transfers_total"), "count"},
+      {"state_transfers", TransferDelta(r, "bft_state_transfers_total"), "count"},
       {"view_changes", Delta(r, "bft_view_changes_started_total"), "count"},
   };
   if (spec.kv) {
@@ -237,8 +246,9 @@ std::vector<Metric> LayerMetrics(const RunConfig& config, const RtRunResult& r,
       {"replica.reply_us", HistMean(r, "h.phase.executed_to_certified"), "us"},
       {"replica.checkpoints_per_kop",
        Ratio(Delta(r, "bft_checkpoints_total") / 4, ops / 1e3), "count"},
-      {"replica.state_transfers", Delta(r, "bft_state_transfers_total"), "count"},
-      {"replica.state_pages_fetched", Delta(r, "bft_state_pages_fetched_total"), "count"},
+      {"replica.state_transfers", TransferDelta(r, "bft_state_transfers_total"), "count"},
+      {"replica.state_pages_fetched", TransferDelta(r, "bft_state_pages_fetched_total"),
+       "count"},
       {"replica.view_changes", Delta(r, "bft_view_changes_started_total"), "count"},
       {"client.retransmissions", Delta(r, "bft_client_retransmissions_total"), "count"},
       {"auth.macs_per_op", Ratio(macs, ops), "count"},
@@ -360,7 +370,7 @@ int Main(int argc, char** argv) {
     if (config.spec.failover && (r.outage_ms < 0 || r.catchup_ms < 0)) {
       ++failed_failovers;
       std::fprintf(stderr, "pbft_bench: round %d: failed failover: %s\n", i,
-                   r.outage_ms < 0 ? "no write due after the crash certified in the window"
+                   r.outage_ms < 0 ? "no write due after the crash certified by the drain's end"
                                    : "the restarted replica had not caught up 10 s after it");
     }
     if (config.trace) {
@@ -375,9 +385,11 @@ int Main(int argc, char** argv) {
 
   std::vector<double> setup_cpu;
   std::vector<double> setup_wall;
+  int setup_retries = 0;
   for (const SetUpCost& s : setups) {
     setup_cpu.push_back(s.cpu_s);
     setup_wall.push_back(s.wall_s);
+    setup_retries += s.retries;
   }
   std::vector<Metric> combined = figures[0].metrics;
   std::string per_round;
@@ -414,8 +426,9 @@ int Main(int argc, char** argv) {
     setup_list += (setup_list.empty() ? "" : ", ") + Num(v);
   }
   per_round += ", \"setup_s_all\": [" + setup_list + "]";
-  std::printf("{\"detail\": %s, \"rounds\": {%s}, \"failed_failover_rounds\": %d}\n",
-              MetricsJson(combined).c_str(), per_round.c_str(), failed_failovers);
+  std::printf("{\"detail\": %s, \"rounds\": {%s}, \"failed_failover_rounds\": %d, "
+              "\"setup_retries\": %d}\n",
+              MetricsJson(combined).c_str(), per_round.c_str(), failed_failovers, setup_retries);
   for (const std::string& v : violations) {
     std::fprintf(stderr, "pbft_bench: correctness violation: %s\n", v.c_str());
   }

@@ -39,10 +39,12 @@ struct Snapshot {
 
 // One set-up: construction, Start(), each client's first op, the KV preload, and the wait
 // until the replicas agree. `cpu_s` is process CPU time over every thread, which a
-// host that steals cycles does not inflate; `wall_s` is elapsed time.
+// host that steals cycles does not inflate; `wall_s` is elapsed time. `retries` counts the
+// set-ups discarded before it because their replicas did not settle (see SetUp).
 struct SetUpCost {
   double cpu_s = 0;
   double wall_s = 0;
+  int retries = 0;
 };
 
 struct RtRunResult {
@@ -59,6 +61,7 @@ struct RtRunResult {
   std::vector<std::string> violations;
   Snapshot begin;  // at t0
   Snapshot end;    // at t1 (failover: rt_node CPU clocks stop at the crash)
+  Snapshot after_catchup;  // after the drain and, on kv_failover, the restarted replica's rejoin
   double peak_rss_mb = 0;
   // Failover only; -1 when the event never happened (a failed failover round).
   double outage_ms = -1;

@@ -34,7 +34,7 @@ bft::ReplicaConfig BenchReplicaConfig(const WorkloadSpec& spec) {
   bft::ReplicaConfig config;
   config.n = 4;
   config.state_pages = spec.state_pages;
-  config.view_change_timeout = 400 * bft::kMillisecond;
+  config.view_change_timeout = kViewChangeTimeout;
   config.max_view_change_timeout = 5 * bft::kSecond;
   config.client_retry_timeout = 100 * bft::kMillisecond;
   config.max_client_retry_timeout = 2 * bft::kSecond;
