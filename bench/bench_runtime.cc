@@ -1,7 +1,6 @@
 // Real-clock runtime benchmark: certified-ops throughput and latency of an RtCluster over
-// the in-process channel and over loopback sockets (plain UDP and io_uring backends), with
-// the datagram-formation layer and request batching on and off. io_uring cells are skipped
-// (with a note) when the kernel or build lacks support.
+// the in-process channel and over loopback UDP sockets, with the datagram-formation layer
+// and request batching on and off.
 //
 // Unlike every other bench in this directory, the numbers here are *wall-clock* — real
 // threads, real sockets, the monotonic clock — so they move when the implementation gets
@@ -183,18 +182,8 @@ int main(int argc, char** argv) {
       {"udp", RtClusterOptions::TransportKind::kUdp, false, true},
       {"udp", RtClusterOptions::TransportKind::kUdp, false, false},
       {"udp", RtClusterOptions::TransportKind::kUdp, true, true},
-      {"uring", RtClusterOptions::TransportKind::kUring, false, true},
-      {"uring", RtClusterOptions::TransportKind::kUring, true, true},
-      {"uring", RtClusterOptions::TransportKind::kUring, true, false},
   };
   for (const Cell& cell : cells) {
-    if (cell.transport == RtClusterOptions::TransportKind::kUring &&
-        !IoUringTransport::Supported()) {
-      // Skip rather than silently benchmark the UDP fallback under a uring label.
-      std::printf("%-12s %-9s %-9s %12s\n", cell.backend, cell.formation ? "on" : "off",
-                  cell.batching ? "on" : "off", "skipped");
-      continue;
-    }
     std::string name = std::string(cell.backend) + (cell.formation ? "+form" : "") +
                        (cell.batching ? "/batching" : "/no-batch");
     std::string cell_metrics;

@@ -4,14 +4,14 @@
 // race inside a replica process voids the f-of-n fault model the whole system is built on.
 // The real-clock runtime is the multi-threaded part of this repository (one event-loop thread
 // per node, transport-internal delivery threads, harness threads), and its lock discipline
-// used to live in comments ("All Locked helpers require mu_", "Park releases the lock before
-// its blocking wait"). This header turns those comments into machine-checked contracts:
+// used to live in comments ("All Locked helpers require mu_", "listeners run with mu_
+// released"). This header turns those comments into machine-checked contracts:
 //
 //   - BFT_GUARDED_BY(mu)        field may only be touched with `mu` held
 //   - BFT_REQUIRES(mu)          function must be entered with `mu` held exclusively
 //   - BFT_REQUIRES_SHARED(mu)   ... held at least shared
 //   - BFT_EXCLUDES(mu)          function must be entered with `mu` NOT held (deadlock guard;
-//                               the PR-8 io_uring Park/Unregister deadlock, as an attribute)
+//                               e.g. ShardMapRegistry::NotifyAll, whose listeners re-enter)
 //
 // The macros expand to Clang's capability attributes under Clang and to nothing elsewhere, so
 // GCC builds are unaffected; the CI lint lane builds with Clang and -Werror=thread-safety, and

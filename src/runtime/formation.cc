@@ -233,8 +233,8 @@ void FormationTransport::Flush(NodeId src) {
       }
     }
   }
-  // Always propagated: a batching inner backend (io_uring) submits its staged sends here
-  // even when formation itself had nothing queued.
+  // Always propagated, even when formation itself had nothing queued: the barrier belongs
+  // to the whole stack, and a buffering layer below (another decorator) must see it too.
   inner_->Flush(src);
 }
 

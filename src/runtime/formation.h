@@ -90,11 +90,6 @@ class FormationTransport final : public Transport {
   void Flush(NodeId src) override;
   int ReceiveFd(NodeId id) const override;
   void Drain(NodeId id) override;
-  // Formation has nothing left queued by the time the loop parks (Flush just emitted it);
-  // the combined submit-and-wait is purely the backend's.
-  int Park(NodeId src, int doorbell_fd, SimTime wait_ns) override {
-    return inner_->Park(src, doorbell_fd, wait_ns);
-  }
   void InstallMetrics(MetricsRegistry* registry) override;
 
   // The wrapped backend (for harness introspection, e.g. UdpTransport::PortOf).

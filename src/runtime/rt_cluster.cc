@@ -11,15 +11,7 @@ namespace bft {
 RtCluster::RtCluster(RtClusterOptions options, RtServiceFactory factory)
     : options_(options), factory_(std::move(factory)) {
   tracer_.InstallMetrics(&metrics_);
-  using TransportKind = RtClusterOptions::TransportKind;
-  TransportKind kind = options_.transport;
-  if (kind == TransportKind::kUring && !IoUringTransport::Supported()) {
-    std::fprintf(stderr, "RtCluster: io_uring unavailable, falling back to UDP transport\n");
-    kind = TransportKind::kUdp;
-  }
-  if (kind == TransportKind::kUring) {
-    transport_ = std::make_unique<IoUringTransport>();
-  } else if (kind == TransportKind::kUdp) {
+  if (options_.transport == RtClusterOptions::TransportKind::kUdp) {
     transport_ = std::make_unique<UdpTransport>();
   } else {
     transport_ = std::make_unique<InProcTransport>();

@@ -22,7 +22,6 @@
 #include "src/runtime/inproc_transport.h"
 #include "src/runtime/rt_node.h"
 #include "src/runtime/udp_transport.h"
-#include "src/runtime/uring_transport.h"
 
 namespace bft {
 
@@ -30,9 +29,7 @@ struct RtClusterOptions {
   ReplicaConfig config;
   PerfModel model;  // drives CpuMeter bookkeeping only; nothing delays real execution
   uint64_t seed = 42;
-  // kUring falls back to kUdp at construction when the binary or the running kernel lacks
-  // io_uring support (IoUringTransport::Supported()); a warning goes to stderr.
-  enum class TransportKind { kInProc, kUdp, kUring };
+  enum class TransportKind { kInProc, kUdp };
   TransportKind transport = TransportKind::kInProc;
   // Wrap the backend in the datagram-formation layer: protocol messages to the same
   // destination coalesce into one framed datagram per event-loop iteration. Orthogonal to

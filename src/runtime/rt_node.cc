@@ -22,6 +22,10 @@ std::chrono::steady_clock::time_point ProcessEpoch() {
   static const std::chrono::steady_clock::time_point epoch = std::chrono::steady_clock::now();
   return epoch;
 }
+
+// SimTime is unsigned; "no deadline" is its max value. Named so the sleep-forever check is
+// `wait_ns == kNoDeadline`, not a tautological `>= 0`.
+constexpr SimTime kNoDeadline = ~SimTime{0};
 }  // namespace
 
 RtNode::RtNode(NodeId id, Transport* transport, uint64_t seed)
@@ -45,12 +49,11 @@ RtNode::~RtNode() {
 }
 
 void RtNode::Close() {
-  // Order matters: a loop parked inside the transport (Park waits in the kernel holding the
-  // transport's shared state) must be woken and joined before Unregister tears that state
-  // down — Stop's doorbell does exactly that. Deliveries that land between the join and
-  // Unregister just sit in the mutex-guarded inbox of a loop that will never run again.
-  // Both steps are idempotent — the destructor re-runs them harmlessly after an explicit
-  // Close().
+  // Order matters: Stop rings the doorbell and joins the loop before Unregister tears the
+  // transport's per-node state down, since a running loop may be inside Drain or Flush.
+  // Deliveries that land between the join and Unregister just sit in the mutex-guarded
+  // inbox of a loop that will never run again. Both steps are idempotent — the destructor
+  // re-runs them harmlessly after an explicit Close().
   Stop();
   transport_->Unregister(id());
 }
@@ -272,32 +275,15 @@ void RtNode::Loop() {
     // and outside mu_ (an in-process delivery to a peer must not nest our lock under the
     // transport's).
     sleeping_ = true;
-    SimTime wait_ns = Transport::kParkNoDeadline;
+    SimTime wait_ns = kNoDeadline;
     if (!schedule_.empty()) {
       SimTime now = Now();
       wait_ns = schedule_.begin()->first > now ? schedule_.begin()->first - now : 0;
     }
     lock.Unlock();
     transport_->Flush(id());
-    // A transport with a combined submit-and-wait (io_uring) parks the whole iteration in
-    // one syscall: staged sends submit, and the wake (datagram completion, doorbell, or
-    // timeout) arrives through the same ring. Deliveries then happen in Drain below, after
-    // sleeping_ clears, so our own enqueues never write the eventfd.
-    int parked = transport_->Park(id(), wake_fd_, wait_ns);
-    if (parked >= 0) {
-      if ((parked & Transport::kParkDoorbell) != 0) {
-        uint64_t drained;
-        [[maybe_unused]] ssize_t n = ::read(wake_fd_, &drained, sizeof(drained));
-      }
-      lock.Lock();
-      sleeping_ = false;
-      lock.Unlock();
-      transport_->Drain(id());
-      lock.Lock();
-      continue;
-    }
-    // Fallback: ppoll over the doorbell eventfd and (if the transport is loop-driven, e.g.
-    // UDP) the receive socket.
+    // ppoll over the doorbell eventfd and (if the transport is loop-driven, e.g. UDP) the
+    // receive socket.
     pollfd fds[2];
     fds[0] = {wake_fd_, POLLIN, 0};
     nfds_t nfds = 1;
@@ -308,7 +294,7 @@ void RtNode::Loop() {
     }
     timespec ts;
     timespec* timeout = nullptr;
-    if (wait_ns != Transport::kParkNoDeadline) {
+    if (wait_ns != kNoDeadline) {
       ts.tv_sec = static_cast<time_t>(wait_ns / 1000000000);
       ts.tv_nsec = static_cast<long>(wait_ns % 1000000000);
       timeout = &ts;

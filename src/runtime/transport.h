@@ -55,8 +55,7 @@ class Transport {
 
   // Event-loop idle barrier. The owning loop calls Flush(src) once it has no runnable work
   // left, immediately before parking: a coalescing transport (FormationTransport) emits the
-  // datagrams it packed during the iteration, and a batching backend (IoUringTransport)
-  // submits every staged send in one syscall. Plain transports send eagerly and ignore it.
+  // datagrams it packed during the iteration. Plain transports send eagerly and ignore it.
   // Nothing a Send promises is observable before the next Flush on `src`'s loop.
   virtual void Flush(NodeId src) {}
 
@@ -71,27 +70,6 @@ class Transport {
   // feeds every queued datagram to the registered sink on the calling thread.
   virtual int ReceiveFd(NodeId id) const { return -1; }
   virtual void Drain(NodeId id) {}
-
-  // --- Combined submit-and-wait (optional) --------------------------------------------------
-  // A transport that can both emit `src`'s staged work and sleep until something new happens
-  // in ONE kernel round-trip overrides Park (IoUringTransport: io_uring_enter with GETEVENTS,
-  // the doorbell eventfd watched by a POLL_ADD on the same ring). The loop calls it right
-  // after Flush, instead of ppoll: wait until a datagram arrives, `doorbell_fd` turns
-  // readable, or `wait_ns` elapses (kParkNoDeadline = no deadline). Returns kParkUnsupported
-  // to make the
-  // caller fall back to ppoll over {doorbell_fd, ReceiveFd}, otherwise a bitmask that has
-  // kParkDoorbell set when the doorbell (possibly) fired and needs draining. Park does NOT
-  // deliver: received datagrams wait in the completion queue for the Drain that follows, so
-  // deliveries run after the loop clears its sleeping flag and skip the doorbell entirely.
-  // A parked loop holds transport-internal shared state, so Unregister(src) while src's loop
-  // may be parked must be preceded by stopping that loop (RtNode::Close stops, then
-  // unregisters).
-  static constexpr int kParkUnsupported = -1;
-  static constexpr int kParkDoorbell = 1;
-  // SimTime is unsigned; "no deadline" is its max value (what assigning -1 always produced).
-  // Named so sleep-forever checks are `wait_ns == kParkNoDeadline`, not a tautological `>= 0`.
-  static constexpr SimTime kParkNoDeadline = ~SimTime{0};
-  virtual int Park(NodeId src, int doorbell_fd, SimTime wait_ns) { return kParkUnsupported; }
 };
 
 }  // namespace bft

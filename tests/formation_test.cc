@@ -337,8 +337,8 @@ TEST(FormationTransportTest, FlushWithNothingQueuedStillReachesInner) {
   Harness h;
   h.formation->Flush(1);
   EXPECT_TRUE(h.inner->sent.empty());
-  // The inner backend may have *its own* staged work (io_uring sends): the barrier must
-  // always propagate.
+  // A layer below may have *its own* buffered work (e.g. another decorator): the barrier
+  // must always propagate.
   EXPECT_EQ(h.inner->flush_calls, 1);
 }
 

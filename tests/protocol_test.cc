@@ -138,6 +138,22 @@ TEST(ProtocolTest, ExactlyOnceUnderMessageLoss) {
   }
 }
 
+TEST(ProtocolTest, ExactlyOnceAcrossTheLogWindowUnderHeavyLoss) {
+  // 20 sequential ops overrun the 16-entry log, so the window can only advance through a
+  // checkpoint certificate assembled under 10% loss.
+  ClusterOptions options = SmallCluster(7);
+  Cluster cluster(options, CounterFactory());
+  cluster.net().SetDropProbability(0.1);
+  Client* client = cluster.AddClient();
+  for (uint64_t i = 1; i <= 20; ++i) {
+    std::optional<Bytes> result =
+        cluster.Execute(client, CounterService::IncOp(), false, 60 * kSecond);
+    ASSERT_TRUE(result.has_value()) << "op " << i;
+    EXPECT_EQ(CounterService::DecodeValue(*result), i) << "duplicate or lost execution";
+  }
+  EXPECT_GT(cluster.replica(0)->low_water(), 0u) << "the log window never advanced";
+}
+
 TEST(ProtocolTest, ExactlyOnceUnderDuplication) {
   ClusterOptions options = SmallCluster(8);
   Cluster cluster(options, CounterFactory());

@@ -1,12 +1,10 @@
-// Real-clock end-to-end smoke test: 4 replicas + 1 client, parameterized over every
-// transport backend (in-process channel, loopback UDP, io_uring) with and without the
-// datagram-formation layer.
+// Real-clock end-to-end smoke test: 4 replicas + 1 client, run over both transports
+// (in-process channel, loopback UDP) with and without the datagram-formation layer.
 //
 // Every Execute() result is backed by a full reply certificate (f+1 matching non-tentative
 // or 2f+1 matching tentative/read-only replies, digest-verified) assembled by the Client
 // automaton — the same code path the simulator exercises, now over real datagrams, real
-// threads, and the monotonic clock. io_uring variants GTEST_SKIP on kernels (or builds)
-// without support; the fallback path itself is covered by UringFallsBackToUdp.
+// threads, and the monotonic clock.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -158,20 +156,6 @@ TEST(UdpSmokeTest, InProcWithFormationLayer) {
   CommitKvOps(SmokeOptions(RtClusterOptions::TransportKind::kInProc, /*formation=*/true));
 }
 
-TEST(UdpSmokeTest, LoopbackOverIoUring) {
-  if (!IoUringTransport::Supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel/build";
-  }
-  CommitKvOps(SmokeOptions(RtClusterOptions::TransportKind::kUring));
-}
-
-TEST(UdpSmokeTest, LoopbackOverIoUringWithFormation) {
-  if (!IoUringTransport::Supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel/build";
-  }
-  CommitKvOps(SmokeOptions(RtClusterOptions::TransportKind::kUring, /*formation=*/true));
-}
-
 // Corrupt-datagram cell: under a sustained 20% corrupt rate every strict decoder in the
 // stack (formation framing, message decode, MAC verification) must DROP the damaged wire
 // image — never crash, never certify it — while retransmission keeps the ops committing.
@@ -221,28 +205,6 @@ TEST(UdpSmokeTest, CorruptDatagramsDropCleanlyWithFormation) {
   // lengths, truncation) eats most of the damage — the closest real analogue to bit rot.
   CommitKvOpsThroughCorruption(
       SmokeOptions(RtClusterOptions::TransportKind::kUdp, /*formation=*/true));
-}
-
-TEST(UdpSmokeTest, CorruptDatagramsDropCleanlyOverIoUring) {
-  if (!IoUringTransport::Supported()) {
-    GTEST_SKIP() << "io_uring unavailable on this kernel/build";
-  }
-  CommitKvOpsThroughCorruption(SmokeOptions(RtClusterOptions::TransportKind::kUring));
-}
-
-TEST(UdpSmokeTest, UringFallsBackToUdp) {
-  // Requesting kUring must always yield a working cluster: where io_uring is unsupported the
-  // constructor falls back to UDP sockets (with a stderr warning), and where it is supported
-  // this doubles the uring coverage. Either way the ops must commit.
-  RtClusterOptions options = SmokeOptions(RtClusterOptions::TransportKind::kUring);
-  RtCluster cluster(options, [](NodeId) { return std::make_unique<KvService>(); });
-  Client* client = cluster.AddClient();
-  cluster.Start();
-  std::optional<Bytes> put = cluster.Execute(
-      client, KvService::PutOp(ToBytes("k"), ToBytes("v")), /*read_only=*/false, 30 * kSecond);
-  ASSERT_TRUE(put.has_value());
-  EXPECT_EQ(ToString(*put), "ok");
-  cluster.Stop();
 }
 
 }  // namespace

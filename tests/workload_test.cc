@@ -49,6 +49,26 @@ TEST(ClosedLoopTest, MoreClientsMoreThroughputUntilSaturation) {
   EXPECT_GT(t10, 1.5 * t1);
 }
 
+TEST(ClosedLoopTest, ManyClientsWithLargeArgumentsStayInViewZero) {
+  // 20 clients each sending 4 KiB arguments saturate the group; the load alone must not
+  // trip a view change or an authentication failure.
+  ClusterOptions options = Options(4616);
+  options.config.checkpoint_period = 128;
+  options.config.log_size = 256;
+  options.config.partition_branching = 16;
+  Cluster cluster(options, [](NodeId) { return std::make_unique<NullService>(); });
+  ClosedLoopLoad load(
+      &cluster, 20, [](size_t, uint64_t) { return NullService::MakeOp(false, 4096, 8); },
+      false);
+  ClosedLoopLoad::Result r = load.Run(kSecond, 4 * kSecond);
+  EXPECT_GT(r.ops_completed, 100u);
+  for (int i = 0; i < cluster.num_replicas(); ++i) {
+    EXPECT_EQ(cluster.replica(i)->view(), 0u) << "replica " << i;
+    EXPECT_EQ(cluster.replica(i)->stats().view_changes_started, 0u) << "replica " << i;
+    EXPECT_EQ(cluster.replica(i)->stats().rejected_auth, 0u) << "replica " << i;
+  }
+}
+
 TEST(AndrewTest, GeneratorIsDeterministic) {
   AndrewScale scale;
   std::vector<AndrewOp> a = BuildAndrewOps(scale);

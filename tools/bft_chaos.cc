@@ -16,7 +16,7 @@
 //
 // Usage: bft_chaos [--scenario all|primary_crash|partition_heal|drop10|corrupt_burst|
 //                   rolling_restart|random]
-//                  [--seed S] [--io-backend udp|uring|inproc] [--formation] [--clients C]
+//                  [--seed S] [--transport udp|inproc] [--formation] [--clients C]
 //                  [--random-rounds N] [--recovery-window-s W] [--list]
 //                  [--metrics-json PATH] [--trace-sample N]
 //
@@ -25,8 +25,8 @@
 // Once a scenario fails the file stops being overwritten — a chaos failure ships with the
 // failing run's phase histograms and fault counters attached, not a later passing run's.
 //
-// Exit status: 0 when every selected scenario passes (or --io-backend=uring is unsupported,
-// which prints SKIP), 1 on any safety or liveness failure.
+// Exit status: 0 when every selected scenario passes, 1 on any safety or liveness failure,
+// 2 (with the usage line) on an unknown --transport name.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -47,6 +47,13 @@ namespace {
 // An Execute that outlives this has genuinely wedged: every scenario heals within a few
 // seconds and retransmission re-probes at least every max_client_retry_timeout.
 constexpr SimTime kOpTimeout = 60 * kSecond;
+
+const char kUsage[] =
+    "usage: bft_chaos [--scenario all|primary_crash|partition_heal|drop10|corrupt_burst|\n"
+    "                  rolling_restart|random]\n"
+    "                 [--seed S] [--transport udp|inproc] [--formation] [--clients C]\n"
+    "                 [--random-rounds N] [--recovery-window-s W] [--list]\n"
+    "                 [--metrics-json PATH] [--trace-sample N]\n";
 
 const char* FlagString(int argc, char** argv, const char* name, const char* fallback) {
   size_t name_len = std::strlen(name);
@@ -518,7 +525,7 @@ int main(int argc, char** argv) {
   }
 
   const char* scenario = FlagString(argc, argv, "--scenario", "all");
-  const char* io_backend = FlagString(argc, argv, "--io-backend", "udp");
+  const char* transport = FlagString(argc, argv, "--transport", "udp");
   uint64_t seed = FlagValue(argc, argv, "--seed", 2029);
   size_t clients = FlagValue(argc, argv, "--clients", 3);
   bool formation = FlagPresent(argc, argv, "--formation");
@@ -532,16 +539,13 @@ int main(int argc, char** argv) {
       FlagValue(argc, argv, "--trace-sample", metrics_json != nullptr ? 16 : 0);
 
   RtClusterOptions::TransportKind kind;
-  if (std::strcmp(io_backend, "inproc") == 0) {
-    kind = RtClusterOptions::TransportKind::kInProc;
-  } else if (std::strcmp(io_backend, "uring") == 0) {
-    if (!IoUringTransport::Supported()) {
-      std::printf("SKIP: io_uring unavailable on this kernel/build\n");
-      return 0;
-    }
-    kind = RtClusterOptions::TransportKind::kUring;
-  } else {
+  if (std::strcmp(transport, "udp") == 0) {
     kind = RtClusterOptions::TransportKind::kUdp;
+  } else if (std::strcmp(transport, "inproc") == 0) {
+    kind = RtClusterOptions::TransportKind::kInProc;
+  } else {
+    std::fprintf(stderr, "bft_chaos: unknown --transport '%s'\n%s", transport, kUsage);
+    return 2;
   }
 
   std::vector<std::string> selected;
@@ -551,7 +555,7 @@ int main(int argc, char** argv) {
     selected.push_back(scenario);
   }
 
-  std::printf("bft_chaos: backend=%s%s seed=%llu clients=%zu\n", io_backend,
+  std::printf("bft_chaos: transport=%s%s seed=%llu clients=%zu\n", transport,
               formation ? "+formation" : "", static_cast<unsigned long long>(seed), clients);
   std::printf("%-17s %-6s %8s %8s %12s\n", "scenario", "result", "ops", "faults",
               "recovery_ms");

@@ -11,11 +11,11 @@ raw-mutex           std::mutex / std::shared_mutex / std::condition_variable / s
                     sees locks acquired through the annotated wrappers, so one raw mutex is a
                     hole in every GUARDED_BY contract in the repo.
 
-blocking-under-lock A blocking call (io_uring_enter, UringEnterTimed, ppoll, recvmsg/recvmmsg
-                    without MSG_DONTWAIT, sleep/sleep_for/sleep_until, condition-variable
-                    waits, thread join) in a lexical scope that still holds a lock guard.
-                    This is the PR-8 io_uring Park deadlock as a grep: Park blocked in
-                    io_uring_enter holding the shared node-table lock, wedging Unregister.
+blocking-under-lock A blocking call (ppoll, recvmsg/recvmmsg without MSG_DONTWAIT,
+                    sleep/sleep_for/sleep_until, condition-variable waits, thread join) in
+                    a lexical scope that still holds a lock guard. An event loop asleep in
+                    ppoll while holding a transport's shared lock wedges every thread that
+                    needs it (Register, Unregister, a peer's Send) until a datagram arrives.
                     Guard-aware: `lock.Unlock()` / `lock.unlock()` suspends the guard,
                     `lock.Lock()` / `lock.lock()` re-arms it; a CondVar wait naming the held
                     mutex (or the guard variable) is the one legitimate blocking-while-locked
@@ -29,20 +29,13 @@ msgtype-trait       Every MsgType enumerator in src/core/messages.h has a MsgTyp
                     specialization. A missing trait silently breaks generic encode/decode
                     dispatch for that message type.
 
-single-issuer       Inside a function marked `// bft-lint: delayed-delivery-context` (the
-                    FaultTransport delay thread and anything like it), calls through
-                    `->Send(` are forbidden: io_uring restricts Send(src, ...) to src's own
-                    loop thread, so delayed datagrams must be delivered via the destination
-                    sink's EnqueueMessage instead.
-
 Waivers
 -------
 A finding is waived by a comment on the same line or the line above:
 
     // bft-lint: allow(<rule>[,<rule>...]) <reason>
 
-The reason is mandatory; a bare allow() is itself an error. `delayed-delivery-context` is a
-marker, not a waiver: it applies single-issuer checking to the function that follows.
+The reason is mandatory; a bare allow() is itself an error.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -52,7 +45,7 @@ import os
 import re
 import sys
 
-RULES = ("raw-mutex", "blocking-under-lock", "layering", "msgtype-trait", "single-issuer")
+RULES = ("raw-mutex", "blocking-under-lock", "layering", "msgtype-trait")
 
 # Directories scanned relative to the repo root.
 SCAN_DIRS = ("src", "tests", "tools", "bench", "examples")
@@ -75,8 +68,6 @@ GUARD_RELOCK = re.compile(r"\b(\w+)\s*\.\s*[Ll]ock(_shared)?\s*\(")
 
 # Blocking calls. Each entry: (regex, human label).
 BLOCKING_CALLS = [
-    (re.compile(r"\bio_uring_enter\s*\("), "io_uring_enter"),
-    (re.compile(r"\bUringEnterTimed\s*\("), "UringEnterTimed"),
     (re.compile(r"\bppoll\s*\("), "ppoll"),
     (re.compile(r"\bpoll\s*\(\s*fds"), "poll"),
     (re.compile(r"\brecvmmsg\s*\("), "recvmmsg"),
@@ -91,13 +82,10 @@ BLOCKING_CALLS = [
 NONBLOCKING_FLAG = re.compile(r"MSG_DONTWAIT")
 
 ALLOW = re.compile(r"//\s*bft-lint:\s*allow\(([^)]*)\)\s*(.*)")
-DELAYED_CONTEXT = re.compile(r"//\s*bft-lint:\s*delayed-delivery-context")
 
 # Matched against the raw line (the include path is a string literal, which the token
 # stripper removes); anchoring to line start keeps commented-out includes from matching.
 LAYERING_FORBIDDEN = re.compile(r'^\s*#include\s+"src/(sim|runtime)/')
-
-SEND_CALL = re.compile(r"->\s*Send\s*\(")
 
 
 class Finding:
@@ -206,16 +194,9 @@ def check_file(path, rel, findings):
     guards = []  # lexical stack of Guard, scoped by brace depth
     depth = 0
     in_block_comment = False
-    # single-issuer: active while inside the function following a delayed-delivery-context
-    # marker; armed between the marker and the function's opening brace.
-    delayed_armed = False
-    delayed_depth = None
 
     for lineno, raw in enumerate(raw_lines, start=1):
         code, _, in_block_comment = strip_strings_and_comments(raw, in_block_comment)
-
-        if DELAYED_CONTEXT.search(raw):
-            delayed_armed = True
 
         # --- raw-mutex ---
         if not is_wrapper:
@@ -279,18 +260,7 @@ def check_file(path, rel, findings):
                     Finding(
                         rel, lineno, "blocking-under-lock",
                         f"{label} while holding {held} — release the guard first "
-                        "(the PR-8 Park/Unregister deadlock shape)",
-                    )
-                )
-
-        # --- single-issuer ---
-        if delayed_depth is not None and not waived(waivers, lineno, "single-issuer"):
-            if SEND_CALL.search(code):
-                findings.append(
-                    Finding(
-                        rel, lineno, "single-issuer",
-                        "->Send() from a delayed-delivery context — deliver via the "
-                        "destination sink's EnqueueMessage (io_uring Send is loop-thread-only)",
+                        "(every thread that needs the lock waits on this call)",
                     )
                 )
 
@@ -300,9 +270,6 @@ def check_file(path, rel, findings):
                 depth += 1
                 for g in guards:
                     g.saved.append(g.active)
-                if delayed_armed and delayed_depth is None:
-                    delayed_depth = depth
-                    delayed_armed = False
             elif c == "}":
                 depth -= 1
                 # Guards declared inside the closed scope die with it; survivors revert to the
@@ -311,8 +278,6 @@ def check_file(path, rel, findings):
                 for g in guards:
                     if g.saved:
                         g.active = g.saved.pop()
-                if delayed_depth is not None and depth < delayed_depth:
-                    delayed_depth = None
 
     return findings
 

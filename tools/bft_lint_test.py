@@ -88,25 +88,25 @@ class LintFixture(unittest.TestCase):
 
     def test_blocking_under_lock_hit(self):
         body = (
-            "void Park() {\n"
+            "void WaitForInput() {\n"
             "  ReaderMutexLock lock(mu_);\n"
-            "  io_uring_enter(fd, 1, 0, 0);\n"
+            "  ppoll(fds, nfds, nullptr, nullptr);\n"
             "}\n"
         )
-        self.write("src/runtime/park_bad.cc", body)
-        findings = self.lint_file("src/runtime/park_bad.cc")
+        self.write("src/runtime/poll_bad.cc", body)
+        findings = self.lint_file("src/runtime/poll_bad.cc")
         self.assertIn("blocking-under-lock", self.rules_of(findings))
 
     def test_blocking_after_unlock_clean(self):
         body = (
-            "void Park() {\n"
+            "void WaitForInput() {\n"
             "  ReaderMutexLock lock(mu_);\n"
             "  lock.Unlock();\n"
-            "  io_uring_enter(fd, 1, 0, 0);\n"
+            "  ppoll(fds, nfds, nullptr, nullptr);\n"
             "}\n"
         )
-        self.write("src/runtime/park_good.cc", body)
-        self.assertEqual(self.lint_file("src/runtime/park_good.cc"), [])
+        self.write("src/runtime/poll_good.cc", body)
+        self.assertEqual(self.lint_file("src/runtime/poll_good.cc"), [])
 
     def test_blocking_after_scope_exit_clean(self):
         body = (
@@ -248,41 +248,6 @@ class LintFixture(unittest.TestCase):
         findings = []
         bft_lint.check_msgtype_traits(self.root, findings)
         self.assertEqual(findings, [])
-
-    # --- single-issuer -----------------------------------------------------------------------
-
-    def test_single_issuer_hit(self):
-        body = (
-            "// bft-lint: delayed-delivery-context\n"
-            "void DelayLoop() {\n"
-            "  inner_->Send(src, dst, std::move(m));\n"
-            "}\n"
-        )
-        self.write("src/runtime/delay_bad.cc", body)
-        self.assertIn("single-issuer", self.rules_of(self.lint_file("src/runtime/delay_bad.cc")))
-
-    def test_single_issuer_sink_clean(self):
-        body = (
-            "// bft-lint: delayed-delivery-context\n"
-            "void DeliverDirect() {\n"
-            "  it->second->EnqueueMessage(std::move(m));\n"
-            "}\n"
-        )
-        self.write("src/runtime/delay_good.cc", body)
-        self.assertEqual(self.lint_file("src/runtime/delay_good.cc"), [])
-
-    def test_single_issuer_scope_ends(self):
-        body = (
-            "// bft-lint: delayed-delivery-context\n"
-            "void DelayLoop() {\n"
-            "  work();\n"
-            "}\n"
-            "void NormalPath() {\n"
-            "  inner_->Send(src, dst, std::move(m));\n"
-            "}\n"
-        )
-        self.write("src/runtime/delay_scope.cc", body)
-        self.assertEqual(self.lint_file("src/runtime/delay_scope.cc"), [])
 
     # --- whole-repo run ----------------------------------------------------------------------
 

@@ -4,7 +4,7 @@
 // that the protocol core runs outside the simulator — real sockets, real clock, real threads.
 //
 // Usage: bft_node [--replicas N] [--clients C] [--ops K] [--transport udp|inproc] [--seed S]
-//                 [--io-backend udp|uring] [--formation] [--admin-port P] [--trace-sample N]
+//                 [--formation] [--admin-port P] [--trace-sample N]
 //                 [--slow-ms M] [--metrics-json PATH]
 //                 [--fault-drop P] [--fault-delay-us N] [--fault-seed S] [--partition IDS]
 //                 [--crash-replica I] [--crash-at-op K] [--restart-at-op J]
@@ -19,10 +19,8 @@
 //                       op K, restart it (empty state, rejoins via state transfer) before op J
 //
 // Transport selection:
-//   --io-backend udp|uring  socket backend for --transport udp (default udp). `uring` stages
-//                           sends on a per-node io_uring and submits them in one syscall per
-//                           loop iteration; falls back to plain UDP sockets (with a warning)
-//                           when the kernel or build lacks io_uring support.
+//   --transport udp|inproc  loopback UDP sockets (default) or the in-process channel; any
+//                           other name exits 2 with the usage line.
 //   --formation             coalesce same-destination protocol messages into one framed
 //                           datagram per event-loop iteration (idle loops flush immediately).
 //
@@ -48,6 +46,13 @@
 #include "src/service/kv_service.h"
 
 namespace {
+
+const char kUsage[] =
+    "usage: bft_node [--replicas N] [--clients C] [--ops K] [--transport udp|inproc] [--seed S]\n"
+    "                [--formation] [--admin-port P] [--trace-sample N] [--slow-ms M]\n"
+    "                [--metrics-json PATH] [--fault-drop P] [--fault-delay-us N]\n"
+    "                [--fault-seed S] [--partition IDS] [--crash-replica I]\n"
+    "                [--crash-at-op K] [--restart-at-op J]\n";
 
 volatile std::sig_atomic_t g_dump_requested = 0;
 void OnSigUsr1(int) { g_dump_requested = 1; }
@@ -101,13 +106,13 @@ int main(int argc, char** argv) {
   options.seed = FlagValue(argc, argv, "--seed", 42);
   options.fault_seed = FlagValue(argc, argv, "--fault-seed", 0);
   const char* transport = FlagString(argc, argv, "--transport", "udp");
-  const char* io_backend = FlagString(argc, argv, "--io-backend", "udp");
-  if (std::strcmp(transport, "inproc") == 0) {
-    options.transport = RtClusterOptions::TransportKind::kInProc;
-  } else if (std::strcmp(io_backend, "uring") == 0) {
-    options.transport = RtClusterOptions::TransportKind::kUring;
-  } else {
+  if (std::strcmp(transport, "udp") == 0) {
     options.transport = RtClusterOptions::TransportKind::kUdp;
+  } else if (std::strcmp(transport, "inproc") == 0) {
+    options.transport = RtClusterOptions::TransportKind::kInProc;
+  } else {
+    std::fprintf(stderr, "bft_node: unknown --transport '%s'\n%s", transport, kUsage);
+    return 2;
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--formation") == 0) {
@@ -197,13 +202,6 @@ int main(int argc, char** argv) {
     for (int i = 0; i < options.config.n; ++i) {
       std::printf(" %u:%u", options.config.ReplicaId(i),
                   udp->PortOf(options.config.ReplicaId(i)));
-    }
-    std::printf("\n");
-  } else if (auto* uring = dynamic_cast<IoUringTransport*>(backend)) {
-    std::printf("%d replicas on io_uring loopback ports%s:", options.config.n, formed);
-    for (int i = 0; i < options.config.n; ++i) {
-      std::printf(" %u:%u", options.config.ReplicaId(i),
-                  uring->PortOf(options.config.ReplicaId(i)));
     }
     std::printf("\n");
   } else {
