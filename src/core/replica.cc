@@ -65,6 +65,7 @@ void Replica::InstallObservability(MetricsRegistry* registry, RequestTracer* tra
   obs_.rollbacks = registry->GetCounter("bft_rollbacks_total", node);
   obs_.view = registry->GetGauge("bft_view", node);
   obs_.last_executed = registry->GetGauge("bft_last_executed", node);
+  obs_.checkpoint_page_copies = registry->GetGauge("bft_checkpoint_page_copies", node);
   obs_.batch_size = registry->GetHistogram("bft_batch_size", node);
   // MAC-cache effectiveness, read from the AuthContext at export time. Probes capture
   // `this`, so they are only registered into harness-owned registries whose exports happen
@@ -749,6 +750,11 @@ void Replica::MaybeTakeCheckpoint(SeqNo n) {
   pending_checkpoint_digest_[n] = d;
   ++stats_.checkpoints_taken;
   obs_.checkpoints->Inc();
+  PublishCheckpointCopies();
+}
+
+void Replica::PublishCheckpointCopies() {
+  obs_.checkpoint_page_copies->Set(static_cast<int64_t>(state_.retained_page_copies()));
 }
 
 void Replica::OnCheckpointCommitted(SeqNo n) {
@@ -858,6 +864,7 @@ void Replica::CollectGarbage(SeqNo new_low) {
   pending_checkpoint_digest_.erase(pending_checkpoint_digest_.begin(),
                                    pending_checkpoint_digest_.lower_bound(new_low));
   state_.DiscardCheckpointsBelow(new_low);
+  PublishCheckpointCopies();
   pq_.pset.erase(pq_.pset.begin(), pq_.pset.upper_bound(new_low));
   pq_.qset.erase(pq_.qset.begin(), pq_.qset.upper_bound(new_low));
 
@@ -906,6 +913,12 @@ void Replica::StopViewChangeTimer() {
 
 void Replica::OnViewChangeTimeout() {
   vc_timer_running_ = false;
+  if (transfer_active_ && !transfer_checking_) {
+    // A replica fetching state cannot execute the waiting requests yet, so the timer says
+    // nothing about the primary: hold it off until FinishStateTransfer re-evaluates it.
+    StartViewChangeTimer();
+    return;
+  }
   // Exponential backoff: wait longer before the next view change (Section 2.3.5, liveness).
   vc_timeout_ = std::min(vc_timeout_ * 2, config_->max_view_change_timeout);
   BFT_DEBUG("replica " << id() << ": request timer expired in view " << view_
@@ -1271,6 +1284,7 @@ void Replica::ProcessNewView(const NewViewMsg& nv, const std::map<NodeId, ViewCh
     }
     if (target <= last_exec_ && state_.HasCheckpoint(target)) {
       Bytes extra = state_.RollbackToCheckpoint(target);
+      PublishCheckpointCopies();
       DecodeLastReplies(extra);
       for (auto& [seq, entry] : log_) {
         if (seq > target) {

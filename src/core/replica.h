@@ -183,6 +183,8 @@ class Replica {
   void ExecuteBatch(SeqNo n, bool tentative);
   void SendReply(NodeId client, const ReplyMsg& reply);
   void MaybeTakeCheckpoint(SeqNo n);
+  // Sets the bft_checkpoint_page_copies gauge (at checkpoint events, never per op).
+  void PublishCheckpointCopies();
   void OnCheckpointCommitted(SeqNo n);
   void TryStable(SeqNo n);
   void CollectGarbage(SeqNo new_low);
@@ -307,6 +309,7 @@ class Replica {
     Counter* rollbacks = nullptr;
     Gauge* view = nullptr;
     Gauge* last_executed = nullptr;
+    Gauge* checkpoint_page_copies = nullptr;
     Histogram* batch_size = nullptr;
   };
   Obs obs_;

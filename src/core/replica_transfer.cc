@@ -282,6 +282,13 @@ void Replica::FinishStateTransfer() {
   log_.erase(log_.begin(), log_.upper_bound(transfer_target_));
   pending_checkpoint_digest_.clear();
   pending_pps_.clear();
+  PublishCheckpointCopies();
+  // The view-change timer was held off during the transfer: give the requests still waiting
+  // a full timeout from here (TryExecute stops it if none is left).
+  if (vc_timer_running_) {
+    StopViewChangeTimer();
+    StartViewChangeTimer();
+  }
   BFT_INFO("replica " << id() << ": state transfer to seq " << transfer_target_ << " complete ("
                       << stats_.pages_fetched << " pages fetched total)");
   TryExecute();

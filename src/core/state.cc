@@ -1,5 +1,6 @@
 #include "src/core/state.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -53,8 +54,25 @@ void ReplicaState::Modify(size_t offset, size_t len) {
   uint64_t first = offset / config_->page_size;
   uint64_t last = (offset + len - 1) / config_->page_size;
   for (uint64_t p = first; p <= last; ++p) {
-    dirty_pages_.insert(p);
+    if (dirty_pages_.insert(p).second) {
+      SavePreImage(p);
+    }
   }
+}
+
+void ReplicaState::SavePreImage(uint64_t page) {
+  if (checkpoints_.empty()) {
+    return;  // before Baseline there is no checkpoint to preserve
+  }
+  auto [it, inserted] = checkpoints_.rbegin()->second.pages.try_emplace(page);
+  if (!inserted) {
+    return;  // already saved since the newest checkpoint
+  }
+  PageEntry& entry = it->second;
+  entry.lm = leaves_[page].lm;
+  entry.d = leaves_[page].d;
+  entry.value.assign(data_.begin() + static_cast<long>(page * config_->page_size),
+                     data_.begin() + static_cast<long>((page + 1) * config_->page_size));
 }
 
 void ReplicaState::Write(size_t offset, ByteView bytes) {
@@ -84,7 +102,7 @@ Digest ReplicaState::InteriorDigest(uint32_t level, uint64_t index, SeqNo lm,
   return ComputeDigest(w.data());
 }
 
-void ReplicaState::UpdateTree(SeqNo seq, const std::set<uint64_t>& pages, Checkpoint* record,
+void ReplicaState::UpdateTree(SeqNo seq, const std::set<uint64_t>& pages, Checkpoint* prev,
                               CpuMeter* cpu) {
   // Collect, per interior level, the set of indices whose digest must be refreshed.
   std::set<uint64_t> touched;
@@ -96,14 +114,6 @@ void ReplicaState::UpdateTree(SeqNo seq, const std::set<uint64_t>& pages, Checkp
                         ByteView(data_.data() + page * config_->page_size, config_->page_size));
     if (cpu != nullptr) {
       cpu->Charge(model_->DigestCost(config_->page_size));
-    }
-    if (record != nullptr) {
-      PageEntry entry;
-      entry.lm = seq;
-      entry.d = leaf.d;
-      entry.value.assign(data_.begin() + static_cast<long>(page * config_->page_size),
-                         data_.begin() + static_cast<long>((page + 1) * config_->page_size));
-      record->pages[page] = std::move(entry);
     }
     if (leaf_level_ > 0) {
       uint64_t parent = page / config_->partition_branching;
@@ -118,13 +128,13 @@ void ReplicaState::UpdateTree(SeqNo seq, const std::set<uint64_t>& pages, Checkp
     for (uint64_t idx : touched) {
       LiveNode& node = interior_[static_cast<size_t>(l)][idx];
       Digest old_d = node.d;
+      if (prev != nullptr) {
+        prev->nodes.try_emplace({static_cast<uint32_t>(l), idx}, NodeEntry{node.lm, old_d});
+      }
       node.lm = seq;
       node.d = InteriorDigest(static_cast<uint32_t>(l), idx, seq, node.sum);
       if (cpu != nullptr) {
         cpu->Charge(model_->DigestCost(64));  // small fixed-size interior node hash
-      }
-      if (record != nullptr) {
-        record->nodes[{static_cast<uint32_t>(l), idx}] = NodeEntry{seq, node.d};
       }
       if (l > 0) {
         uint64_t parent = idx / config_->partition_branching;
@@ -137,19 +147,25 @@ void ReplicaState::UpdateTree(SeqNo seq, const std::set<uint64_t>& pages, Checkp
 }
 
 void ReplicaState::Baseline(const Bytes& extra) {
-  // Digest every page and interior node, then record a full snapshot as checkpoint 0.
+  // Digest every page and interior node; checkpoint 0 starts with an empty record.
   std::set<uint64_t> all;
   for (uint64_t p = 0; p < num_pages_; ++p) {
     all.insert(p);
   }
+  UpdateTree(0, all, nullptr, nullptr);
+  ResetHistory(0, extra);
+}
+
+Digest ReplicaState::ResetHistory(SeqNo seq, const Bytes& extra) {
   Checkpoint record;
-  record.seq = 0;
+  record.seq = seq;
   record.extra = extra;
-  UpdateTree(0, all, &record, nullptr);
   record.full_digest = ComputeFullDigest(CurrentRootDigest(), extra);
+  Digest d = record.full_digest;
   checkpoints_.clear();
-  checkpoints_[0] = std::move(record);
+  checkpoints_[seq] = std::move(record);
   dirty_pages_.clear();
+  return d;
 }
 
 Digest ReplicaState::CurrentRootDigest() const {
@@ -168,15 +184,14 @@ Digest ReplicaState::ComputeFullDigest(const Digest& root, const Bytes& extra) c
 }
 
 Digest ReplicaState::TakeCheckpoint(SeqNo seq, const Bytes& extra, CpuMeter* cpu) {
-  Checkpoint record;
+  UpdateTree(seq, dirty_pages_, checkpoints_.empty() ? nullptr : &checkpoints_.rbegin()->second,
+             cpu);
+  dirty_pages_.clear();
+  Checkpoint& record = checkpoints_[seq];
   record.seq = seq;
   record.extra = extra;
-  UpdateTree(seq, dirty_pages_, &record, cpu);
-  dirty_pages_.clear();
   record.full_digest = ComputeFullDigest(CurrentRootDigest(), extra);
-  Digest d = record.full_digest;
-  checkpoints_[seq] = std::move(record);
-  return d;
+  return record.full_digest;
 }
 
 Digest ReplicaState::CheckpointDigest(SeqNo seq) const {
@@ -198,47 +213,39 @@ SeqNo ReplicaState::OldestCheckpoint() const {
 }
 
 void ReplicaState::DiscardCheckpointsBelow(SeqNo keep_from) {
-  while (!checkpoints_.empty() && checkpoints_.begin()->first < keep_from) {
-    auto oldest = checkpoints_.begin();
-    auto next = std::next(oldest);
-    if (next == checkpoints_.end()) {
-      // Never discard the only checkpoint: it is the full snapshot anchoring lookups.
-      return;
-    }
-    // Merge forward: entries absent from `next` keep their value from `oldest` at `next`.
-    for (auto& [idx, entry] : oldest->second.pages) {
-      next->second.pages.emplace(idx, std::move(entry));
-    }
-    for (auto& [key, entry] : oldest->second.nodes) {
-      next->second.nodes.emplace(key, entry);
-    }
-    checkpoints_.erase(oldest);
-  }
+  // The newest checkpoint always stays: Modify saves pre-images into its record.
+  checkpoints_.erase(checkpoints_.begin(),
+                     checkpoints_.lower_bound(std::min(keep_from, NewestCheckpoint())));
 }
 
-const ReplicaState::PageEntry* ReplicaState::LookupPage(uint64_t index, SeqNo target) const {
-  auto it = checkpoints_.upper_bound(target);
-  while (it != checkpoints_.begin()) {
-    --it;
+size_t ReplicaState::retained_page_copies() const {
+  size_t copies = 0;
+  for (const auto& [seq, record] : checkpoints_) {
+    copies += record.pages.size();
+  }
+  return copies;
+}
+
+ReplicaState::PageView ReplicaState::LookupPage(uint64_t index, SeqNo target) const {
+  for (auto it = checkpoints_.lower_bound(target); it != checkpoints_.end(); ++it) {
     auto pit = it->second.pages.find(index);
     if (pit != it->second.pages.end()) {
-      return &pit->second;
+      return {pit->second.lm, pit->second.d, pit->second.value};
     }
   }
-  return nullptr;
+  return {leaves_[index].lm, leaves_[index].d,
+          ByteView(data_.data() + index * config_->page_size, config_->page_size)};
 }
 
-const ReplicaState::NodeEntry* ReplicaState::LookupNode(uint32_t level, uint64_t index,
-                                                        SeqNo target) const {
-  auto it = checkpoints_.upper_bound(target);
-  while (it != checkpoints_.begin()) {
-    --it;
+ReplicaState::NodeEntry ReplicaState::LookupNode(uint32_t level, uint64_t index,
+                                                 SeqNo target) const {
+  for (auto it = checkpoints_.lower_bound(target); it != checkpoints_.end(); ++it) {
     auto nit = it->second.nodes.find({level, index});
     if (nit != it->second.nodes.end()) {
-      return &nit->second;
+      return nit->second;
     }
   }
-  return nullptr;
+  return {interior_[level][index].lm, interior_[level][index].d};
 }
 
 void ReplicaState::RebuildInterior() {
@@ -269,31 +276,30 @@ Bytes ReplicaState::RollbackToCheckpoint(SeqNo seq) {
   auto target = checkpoints_.find(seq);
   assert(target != checkpoints_.end());
 
-  // Pages possibly differing from their value at `seq`: dirty pages plus pages snapshotted by
-  // later checkpoints.
-  std::set<uint64_t> to_restore = dirty_pages_;
-  for (auto it = checkpoints_.upper_bound(seq); it != checkpoints_.end(); ++it) {
+  // Every page written since `seq` (dirty pages included) has its value at `seq` saved in a
+  // record at or after `seq`.
+  std::set<uint64_t> to_restore;
+  for (auto it = target; it != checkpoints_.end(); ++it) {
     for (const auto& [idx, entry] : it->second.pages) {
       to_restore.insert(idx);
     }
   }
-
   for (uint64_t page : to_restore) {
-    const PageEntry* entry = LookupPage(page, seq);
-    assert(entry != nullptr);
-    std::memcpy(data_.data() + page * config_->page_size, entry->value.data(),
+    PageView entry = LookupPage(page, seq);
+    std::memcpy(data_.data() + page * config_->page_size, entry.value.data(),
                 config_->page_size);
-    leaves_[page].lm = entry->lm;
-    leaves_[page].d = entry->d;
+    leaves_[page].lm = entry.lm;
+    leaves_[page].d = entry.d;
   }
   // Rollback is rare (tentative-execution aborts during view changes), so a full interior
   // rebuild keeps the logic simple; the incremental path is only needed for checkpoints.
   RebuildInterior();
 
   dirty_pages_.clear();
-  Bytes extra = target->second.extra;
-  checkpoints_.erase(checkpoints_.upper_bound(seq), checkpoints_.end());
-  return extra;
+  checkpoints_.erase(std::next(target), checkpoints_.end());
+  target->second.pages.clear();
+  target->second.nodes.clear();
+  return target->second.extra;
 }
 
 std::vector<MetaDataMsg::Part> ReplicaState::GetMetaData(uint32_t level, uint64_t index,
@@ -306,24 +312,8 @@ std::vector<MetaDataMsg::Part> ReplicaState::GetMetaData(uint32_t level, uint64_
   uint64_t first = index * config_->partition_branching;
   uint64_t count = PartsAtLevel(child_level);
   for (uint64_t c = first; c < first + config_->partition_branching && c < count; ++c) {
-    MetaDataMsg::Part part;
-    part.index = c;
-    if (child_level == leaf_level_) {
-      const PageEntry* e = LookupPage(c, target);
-      if (e == nullptr) {
-        continue;
-      }
-      part.lm = e->lm;
-      part.d = e->d;
-    } else {
-      const NodeEntry* e = LookupNode(child_level, c, target);
-      if (e == nullptr) {
-        continue;
-      }
-      part.lm = e->lm;
-      part.d = e->d;
-    }
-    out.push_back(part);
+    auto [lm, d] = *GetNodeInfo(child_level, c, target);
+    out.push_back(MetaDataMsg::Part{c, lm, d});
   }
   return out;
 }
@@ -335,17 +325,11 @@ std::optional<std::pair<SeqNo, Digest>> ReplicaState::GetNodeInfo(uint32_t level
     return std::nullopt;
   }
   if (level >= leaf_level_) {
-    const PageEntry* e = LookupPage(index, target);
-    if (e == nullptr) {
-      return std::nullopt;
-    }
-    return std::make_pair(e->lm, e->d);
+    PageView e = LookupPage(index, target);
+    return std::make_pair(e.lm, e.d);
   }
-  const NodeEntry* e = LookupNode(level, index, target);
-  if (e == nullptr) {
-    return std::nullopt;
-  }
-  return std::make_pair(e->lm, e->d);
+  NodeEntry e = LookupNode(level, index, target);
+  return std::make_pair(e.lm, e.d);
 }
 
 std::pair<SeqNo, Digest> ReplicaState::LiveNodeInfo(uint32_t level, uint64_t index) const {
@@ -360,15 +344,17 @@ std::optional<std::pair<SeqNo, Bytes>> ReplicaState::GetPage(uint64_t index,
   if (checkpoints_.count(target) == 0 || index >= num_pages_) {
     return std::nullopt;
   }
-  const PageEntry* e = LookupPage(index, target);
-  if (e == nullptr) {
-    return std::nullopt;
-  }
-  return std::make_pair(e->lm, e->value);
+  PageView e = LookupPage(index, target);
+  return std::make_pair(e.lm, Bytes(e.value.begin(), e.value.end()));
 }
 
 void ReplicaState::ApplyFetchedPage(uint64_t index, SeqNo lm, ByteView value) {
   assert(index < num_pages_ && value.size() == config_->page_size);
+  // A page last modified at or before the newest checkpoint held `value` there already (the
+  // local copy differs only if corrupted), so only a newer value needs the old one saved.
+  if (lm > NewestCheckpoint()) {
+    SavePreImage(index);
+  }
   std::memcpy(data_.data() + index * config_->page_size, value.data(), value.size());
   leaves_[index].lm = lm;
   leaves_[index].d = PageDigest(index, lm, value);
@@ -379,30 +365,7 @@ Digest ReplicaState::FinalizeFetchedCheckpoint(SeqNo seq, const Bytes& extra) {
   // Leaf lm/digest values came from the fetched meta-data; interior nodes are rebuilt bottom-up
   // (interior lm = max child lm, matching what the senders computed incrementally).
   RebuildInterior();
-
-  // Reset history: a single full snapshot at `seq`.
-  Checkpoint record;
-  record.seq = seq;
-  record.extra = extra;
-  for (uint64_t p = 0; p < num_pages_; ++p) {
-    PageEntry e;
-    e.lm = leaves_[p].lm;
-    e.d = leaves_[p].d;
-    e.value.assign(data_.begin() + static_cast<long>(p * config_->page_size),
-                   data_.begin() + static_cast<long>((p + 1) * config_->page_size));
-    record.pages[p] = std::move(e);
-  }
-  for (uint32_t l = 0; l < leaf_level_; ++l) {
-    for (uint64_t idx = 0; idx < PartsAtLevel(l); ++idx) {
-      record.nodes[{l, idx}] = NodeEntry{interior_[l][idx].lm, interior_[l][idx].d};
-    }
-  }
-  record.full_digest = ComputeFullDigest(CurrentRootDigest(), extra);
-  Digest d = record.full_digest;
-  checkpoints_.clear();
-  checkpoints_[seq] = std::move(record);
-  dirty_pages_.clear();
-  return d;
+  return ResetHistory(seq, extra);
 }
 
 }  // namespace bft

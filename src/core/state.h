@@ -8,12 +8,15 @@
 // child digests with AdHash, so a checkpoint only re-digests dirty pages and updates O(levels)
 // interior nodes per dirty page (incremental, Merkle-tree-inspired).
 //
-// Checkpoints are logical copy-on-write snapshots: checkpoint k records the values at k of
-// exactly the partitions modified in the epoch ending at k. The oldest retained checkpoint is
-// a full snapshot (entries are merged forward when older checkpoints are discarded), so the
-// value of any partition at any retained checkpoint is found by scanning checkpoints newest-
-// to-oldest from the target. This supports rollback (tentative-execution aborts, Section
-// 5.1.2) and the state-transfer server side (Section 5.3.2).
+// Checkpoints are copy-before-write: the record of checkpoint k holds the values *at* k of
+// exactly the partitions changed *after* k (until the next checkpoint). The first Modify (or
+// ApplyFetchedPage) of a page after the newest checkpoint saves the page's value, lm and
+// digest into that checkpoint's record; taking the next checkpoint saves each interior
+// node's old (lm, d) before overwriting it. So a replica holds its live state plus only the
+// pages modified since its oldest retained checkpoint, and the value of a partition at
+// retained checkpoint k is the first record at or after k that holds it, else the live value.
+// This supports rollback (tentative-execution aborts, Section 5.1.2) and the state-transfer
+// server side (Section 5.3.2).
 #ifndef SRC_CORE_STATE_H_
 #define SRC_CORE_STATE_H_
 
@@ -56,14 +59,14 @@ class ReplicaState {
   uint8_t* MutableRange(size_t offset, size_t len);
 
   // --- Checkpoints -----------------------------------------------------------------------------
-  // Establishes checkpoint 0 as a full snapshot of the current (initialized) state.
+  // Digests the current (initialized) state and establishes it as checkpoint 0.
   // Must be called once, after the service initializes its state, before any protocol activity.
   void Baseline(const Bytes& extra);
 
-  // Takes checkpoint `seq`: re-digests dirty pages, updates the tree incrementally, and records
-  // the copy-on-write snapshot. `extra` is opaque replica metadata snapshotted with the state
-  // (the last-reply table, per the paper). Charges digest costs to `cpu` if non-null.
-  // Returns the checkpoint's full digest.
+  // Takes checkpoint `seq`: re-digests dirty pages and updates the tree incrementally, saving
+  // the old interior nodes into the previous checkpoint's record. `extra` is opaque replica
+  // metadata kept with the checkpoint (the last-reply table, per the paper). Charges digest
+  // costs to `cpu` if non-null. Returns the checkpoint's full digest.
   Digest TakeCheckpoint(SeqNo seq, const Bytes& extra, CpuMeter* cpu);
 
   bool HasCheckpoint(SeqNo seq) const { return checkpoints_.count(seq) != 0; }
@@ -72,8 +75,7 @@ class ReplicaState {
   SeqNo NewestCheckpoint() const;
   SeqNo OldestCheckpoint() const;
 
-  // Discards checkpoints with seq < keep_from, merging their entries forward so the oldest
-  // retained checkpoint remains a full snapshot.
+  // Discards checkpoints with seq < keep_from (never the newest) and their saved pre-images.
   void DiscardCheckpointsBelow(SeqNo keep_from);
 
   // Reverts the current state to checkpoint `seq` (which must be retained). Checkpoints newer
@@ -93,10 +95,11 @@ class ReplicaState {
   std::pair<SeqNo, Digest> LiveNodeInfo(uint32_t level, uint64_t index) const;
 
   // --- State transfer: fetcher side -------------------------------------------------------------
-  // Overwrites a page with a fetched value (marks tree entries; no checkpoint bookkeeping).
+  // Overwrites a page with a fetched value (marks its leaf entry). A value newer than the
+  // newest checkpoint first saves the page's pre-image, so retained checkpoints stay servable.
   void ApplyFetchedPage(uint64_t index, SeqNo lm, ByteView value);
-  // After all pages for checkpoint `seq` are in place: resets checkpoint history to a single
-  // full snapshot at `seq`. Returns its full digest (caller verifies against the certificate).
+  // After all pages for checkpoint `seq` are in place: resets checkpoint history to the single
+  // checkpoint `seq`. Returns its full digest (caller verifies against the certificate).
   Digest FinalizeFetchedCheckpoint(SeqNo seq, const Bytes& extra);
 
   // Digest the current in-memory state would have if checkpointed at `seq` — used by recovery's
@@ -109,6 +112,8 @@ class ReplicaState {
 
   size_t dirty_page_count() const { return dirty_pages_.size(); }
   const std::set<uint64_t>& dirty_pages() const { return dirty_pages_; }
+  // Page pre-images held across all retained checkpoint records.
+  size_t retained_page_copies() const;
 
  private:
   struct PageEntry {
@@ -120,10 +125,16 @@ class ReplicaState {
     SeqNo lm = 0;
     Digest d;
   };
+  struct PageView {
+    SeqNo lm = 0;
+    Digest d;
+    ByteView value;
+  };
   struct Checkpoint {
     SeqNo seq = 0;
     Digest full_digest;
     Bytes extra;
+    // Values at `seq` of the partitions changed since.
     std::map<uint64_t, PageEntry> pages;
     std::map<std::pair<uint32_t, uint64_t>, NodeEntry> nodes;  // interior partitions
   };
@@ -138,12 +149,19 @@ class ReplicaState {
   // Recomputes every interior node from the current leaves (used by rollback and fetch).
   void RebuildInterior();
   // Recomputes digests for the given dirty pages as of checkpoint `seq` and updates ancestors.
-  // Records copy-on-write entries into `record` if non-null. Charges costs to `cpu`.
-  void UpdateTree(SeqNo seq, const std::set<uint64_t>& pages, Checkpoint* record, CpuMeter* cpu);
+  // Saves each interior node's old (lm, d) into `prev` if non-null. Charges costs to `cpu`.
+  void UpdateTree(SeqNo seq, const std::set<uint64_t>& pages, Checkpoint* prev, CpuMeter* cpu);
+  // Saves a page's value, lm and digest into the newest checkpoint's record unless already
+  // saved there.
+  void SavePreImage(uint64_t page);
+  // Replaces the checkpoint history with the single checkpoint `seq` of the live state and
+  // returns its full digest.
+  Digest ResetHistory(SeqNo seq, const Bytes& extra);
 
-  // Value of a page / interior node at a retained checkpoint (scans newest<=target backwards).
-  const PageEntry* LookupPage(uint64_t index, SeqNo target) const;
-  const NodeEntry* LookupNode(uint32_t level, uint64_t index, SeqNo target) const;
+  // Value of a page / interior node at a retained checkpoint: the first record at or after
+  // `target` that holds it, else the live value.
+  PageView LookupPage(uint64_t index, SeqNo target) const;
+  NodeEntry LookupNode(uint32_t level, uint64_t index, SeqNo target) const;
 
   const ReplicaConfig* config_;
   const PerfModel* model_;

@@ -68,13 +68,14 @@ void AdminServer::Stop() {
   if (!running_.exchange(false)) {
     return;
   }
-  // shutdown unblocks the accept; close invalidates the fd for good measure.
+  // shutdown unblocks the accept; the fd is closed and reset only once Serve has returned,
+  // since Serve reads it.
   ::shutdown(listen_fd_, SHUT_RDWR);
-  ::close(listen_fd_);
-  listen_fd_ = -1;
   if (thread_.joinable()) {
     thread_.join();
   }
+  ::close(listen_fd_);
+  listen_fd_ = -1;
 }
 
 void AdminServer::Serve() {

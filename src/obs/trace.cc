@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "src/common/logging.h"
 
@@ -107,7 +108,10 @@ void RequestTracer::set_slow_threshold(SimTime t) {
 }
 
 void RequestTracer::InstallMetrics(MetricsRegistry* registry) {
-  MutexLock lock(mu_);
+  // Resolve the histograms before taking mu_: the registry calls this tracer's probes under
+  // its own lock, so taking the registry's lock under mu_ would invert the lock order.
+  Histogram* delta_hist[kNumTraceKinds][kNumTracePhases - 1] = {};
+  Histogram* total_hist[kNumTraceKinds] = {};
   for (int k = 0; k < kNumTraceKinds; ++k) {
     TraceKind kind = static_cast<TraceKind>(k);
     const char* family =
@@ -120,9 +124,16 @@ void RequestTracer::InstallMetrics(MetricsRegistry* registry) {
     for (int p = 0; p + 1 < phases; ++p) {
       std::string labels = kind_label + "phase=\"" + TracePhaseLabel(kind, p) + "_to_" +
                            TracePhaseLabel(kind, p + 1) + "\"";
-      delta_hist_[k][p] = registry->GetHistogram(family, labels);
+      delta_hist[k][p] = registry->GetHistogram(family, labels);
     }
-    total_hist_[k] = registry->GetHistogram(family, kind_label + "phase=\"total\"");
+    total_hist[k] = registry->GetHistogram(family, kind_label + "phase=\"total\"");
+  }
+  {
+    MutexLock lock(mu_);
+    for (int k = 0; k < kNumTraceKinds; ++k) {
+      std::copy(std::begin(delta_hist[k]), std::end(delta_hist[k]), delta_hist_[k]);
+      total_hist_[k] = total_hist[k];
+    }
   }
   if (registry == &MetricsRegistry::Process()) {
     return;  // probes capture `this`; the process registry outlives any tracer

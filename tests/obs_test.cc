@@ -1,6 +1,6 @@
 // Observability subsystem tests: histogram bucketing, the shared percentile helper,
-// exact protocol-counter values on a deterministic simulation, request-tracer timelines on
-// the simulator, and the Prometheus text round trip.
+// exact protocol-counter and gauge values on a deterministic simulation, request-tracer
+// timelines on the simulator, and the Prometheus text round trip.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -18,6 +18,7 @@
 #include "src/obs/health.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
+#include "src/service/kv_service.h"
 #include "src/service/null_service.h"
 #include "src/workload/cluster.h"
 
@@ -168,6 +169,40 @@ TEST(ObsSimTest, ProtocolCountersMatchTheoreticalCounts) {
   for (int i = 0; i < n; ++i) {
     EXPECT_GT(cluster.replica(i)->auth().mac_cache_hits(),
               cluster.replica(i)->auth().mac_cache_misses())
+        << "replica " << i;
+  }
+}
+
+// bft_checkpoint_page_copies is set at checkpoint events. With CHECKPOINT messages dropped
+// nothing becomes stable or is discarded, so when the run ends on a checkpoint the gauge
+// equals the pre-images each replica holds: the pages the run wrote, not the whole state.
+TEST(ObsSimTest, CheckpointPageCopiesGaugeMatchesRetainedPreImages) {
+  ClusterOptions options = QuietOptions();
+  options.config.checkpoint_period = 4;
+  Cluster cluster(options, [](NodeId) { return std::make_unique<KvService>(); });
+  cluster.net().SetFilter([](NodeId, NodeId, const Bytes& msg) {
+    return !msg.empty() && msg[0] == static_cast<uint8_t>(MsgType::kCheckpoint)
+               ? Network::FilterAction::kDrop
+               : Network::FilterAction::kDeliver;
+  });
+  Client* client = cluster.AddClient();
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(cluster.Execute(client, KvService::PutOp(ToBytes("key-" + std::to_string(i)),
+                                                         ToBytes("value")))
+                    .has_value());
+  }
+  cluster.sim().RunFor(2 * kSecond);
+
+  for (int i = 0; i < cluster.num_replicas(); ++i) {
+    const ReplicaState& state = cluster.replica(i)->state();
+    ASSERT_EQ(state.OldestCheckpoint(), 0u) << "replica " << i;
+    ASSERT_EQ(state.NewestCheckpoint(), 8u) << "replica " << i;
+    size_t copies = state.retained_page_copies();
+    EXPECT_GT(copies, 0u) << "replica " << i;
+    EXPECT_LT(copies, state.num_pages()) << "replica " << i;
+    std::string node = "node=\"" + std::to_string(i) + "\"";
+    EXPECT_EQ(cluster.metrics().GetGauge("bft_checkpoint_page_copies", node)->value(),
+              static_cast<int64_t>(copies))
         << "replica " << i;
   }
 }

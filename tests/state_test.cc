@@ -1,5 +1,5 @@
-// Unit tests for ReplicaState: partition-tree geometry, incremental digests, copy-on-write
-// checkpoints, rollback, discard/merge, and the state-transfer server queries.
+// Unit tests for ReplicaState: partition-tree geometry, incremental digests, copy-before-write
+// checkpoints, rollback, discard, and the state-transfer server queries.
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
@@ -112,7 +112,7 @@ TEST(StateTest, RollbackRestoresDigestsExactly) {
   EXPECT_EQ(again, at8);
 }
 
-TEST(StateTest, DiscardMergesForwardSoOldValuesStayReadable) {
+TEST(StateTest, DiscardKeepsLaterCheckpointsReadable) {
   StateFixture f;
   f.state.Write(0, ToBytes("page0-v1"));
   f.state.TakeCheckpoint(8, ToBytes("e8"), nullptr);
@@ -122,7 +122,7 @@ TEST(StateTest, DiscardMergesForwardSoOldValuesStayReadable) {
 
   f.state.DiscardCheckpointsBelow(16);
   EXPECT_EQ(f.state.OldestCheckpoint(), 16u);
-  // Page 0's value at checkpoint 16 must still be served even though it was recorded at 8.
+  // Page 0's value at checkpoint 16 must still be served even though it was written before 8.
   auto page = f.state.GetPage(0, 16);
   ASSERT_TRUE(page.has_value());
   EXPECT_EQ(ToString(ByteView(page->second.data(), 8)), "page0-v1");
@@ -230,6 +230,202 @@ TEST(StateTest, ManyCheckpointsBoundedHistoryAfterDiscard) {
   }
   EXPECT_EQ(f.state.OldestCheckpoint(), 72u);
   EXPECT_EQ(f.state.NewestCheckpoint(), 80u);
+}
+
+// Every page's (lm, digest, value) and every interior node's (lm, digest) at `seq`.
+struct CheckpointView {
+  std::vector<std::pair<SeqNo, Bytes>> pages;
+  std::vector<std::pair<SeqNo, Digest>> nodes;
+  std::vector<std::vector<MetaDataMsg::Part>> meta;
+  bool operator==(const CheckpointView& o) const {
+    if (pages != o.pages || nodes != o.nodes || meta.size() != o.meta.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < meta.size(); ++i) {
+      if (meta[i].size() != o.meta[i].size()) {
+        return false;
+      }
+      for (size_t j = 0; j < meta[i].size(); ++j) {
+        const MetaDataMsg::Part& x = meta[i][j];
+        const MetaDataMsg::Part& y = o.meta[i][j];
+        if (x.index != y.index || x.lm != y.lm || x.d != y.d) {
+          return false;
+        }
+      }
+    }
+    return true;
+  }
+};
+
+CheckpointView ViewAt(const ReplicaState& state, SeqNo seq) {
+  CheckpointView view;
+  for (uint64_t p = 0; p < state.num_pages(); ++p) {
+    view.pages.push_back(*state.GetPage(p, seq));
+    view.nodes.push_back(*state.GetNodeInfo(state.leaf_level(), p, seq));
+  }
+  for (uint32_t level = 0; level < state.leaf_level(); ++level) {
+    for (uint64_t idx = 0; idx < state.PartsAtLevel(level); ++idx) {
+      view.nodes.push_back(*state.GetNodeInfo(level, idx, seq));
+      view.meta.push_back(state.GetMetaData(level, idx, seq));
+    }
+  }
+  return view;
+}
+
+Bytes PageBytes(const ReplicaState& state, uint64_t page) {
+  Bytes out(state.page_size());
+  state.Read(page * state.page_size(), out.size(), out.data());
+  return out;
+}
+
+TEST(StateTest, RollbackAcrossCheckpointsWithOverlappingDirtySets) {
+  // Pages 1-3 are written in overlapping epochs, so their values at 8 sit in different
+  // records: page 1 in 8's, page 2 in 8's, page 3 in 16's.
+  StateFixture f;
+  f.state.Write(1 * 128, ToBytes("p1-a"));
+  f.state.Write(2 * 128, ToBytes("p2-a"));
+  Digest at8 = f.state.TakeCheckpoint(8, ToBytes("e8"), nullptr);
+  CheckpointView view8 = ViewAt(f.state, 8);
+  f.state.Write(2 * 128, ToBytes("p2-b"));
+  f.state.Write(3 * 128, ToBytes("p3-b"));
+  Digest at16 = f.state.TakeCheckpoint(16, ToBytes("e16"), nullptr);
+  CheckpointView view16 = ViewAt(f.state, 16);
+  f.state.Write(1 * 128, ToBytes("p1-c"));
+  f.state.Write(3 * 128, ToBytes("p3-c"));
+  f.state.TakeCheckpoint(24, ToBytes("e24"), nullptr);
+  f.state.Write(2 * 128, ToBytes("p2-d"));  // dirty, not checkpointed
+
+  // Roll back to the middle checkpoint first, then further.
+  EXPECT_EQ(f.state.RollbackToCheckpoint(16), ToBytes("e16"));
+  EXPECT_EQ(f.state.NewestCheckpoint(), 16u);
+  EXPECT_EQ(f.state.ComputeFullDigest(f.state.CurrentRootDigest(), ToBytes("e16")), at16);
+  EXPECT_TRUE(ViewAt(f.state, 16) == view16);
+  EXPECT_TRUE(ViewAt(f.state, 8) == view8);
+
+  f.state.Write(3 * 128, ToBytes("p3-x"));
+  EXPECT_EQ(f.state.RollbackToCheckpoint(8), ToBytes("e8"));
+  EXPECT_EQ(f.state.ComputeFullDigest(f.state.CurrentRootDigest(), ToBytes("e8")), at8);
+  EXPECT_TRUE(ViewAt(f.state, 8) == view8);
+  EXPECT_EQ(ToString(ByteView(PageBytes(f.state, 1).data(), 4)), "p1-a");
+  EXPECT_EQ(ToString(ByteView(PageBytes(f.state, 2).data(), 4)), "p2-a");
+  EXPECT_EQ(PageBytes(f.state, 3), Bytes(128, 0));
+  // Only pages 1 and 2 at checkpoint 0 remain; 8's own record was cleared.
+  EXPECT_EQ(f.state.retained_page_copies(), 2u);
+
+  // Execution resumes from 8 exactly as on a replica that never ran past it.
+  StateFixture fresh;
+  fresh.state.Write(1 * 128, ToBytes("p1-a"));
+  fresh.state.Write(2 * 128, ToBytes("p2-a"));
+  fresh.state.TakeCheckpoint(8, ToBytes("e8"), nullptr);
+  for (StateFixture* s : {&f, &fresh}) {
+    s->state.Write(2 * 128, ToBytes("p2-y"));
+    s->state.Write(9 * 128, ToBytes("p9-y"));
+  }
+  EXPECT_EQ(f.state.TakeCheckpoint(16, ToBytes("e16"), nullptr),
+            fresh.state.TakeCheckpoint(16, ToBytes("e16"), nullptr));
+  EXPECT_TRUE(ViewAt(f.state, 8) == ViewAt(fresh.state, 8));
+}
+
+TEST(StateTest, OldestCheckpointServesValuesRecordedWhenTaken) {
+  StateFixture f;
+  f.state.Write(3 * 128, ToBytes("page3-v1"));
+  f.state.Write(12 * 128, ToBytes("page12-v1"));
+  f.state.TakeCheckpoint(8, ToBytes("e8"), nullptr);
+  f.state.DiscardCheckpointsBelow(8);
+  ASSERT_EQ(f.state.OldestCheckpoint(), 8u);
+  CheckpointView view8 = ViewAt(f.state, 8);
+  auto root8 = f.state.GetNodeInfo(0, 0, 8);
+  ASSERT_TRUE(root8.has_value());
+  EXPECT_EQ(root8->first, 8u);
+
+  // Later writes, checkpoints and a dirty page change the live tree, not checkpoint 8.
+  for (SeqNo seq = 16; seq <= 32; seq += 8) {
+    f.state.Write(3 * 128, ToBytes("page3-at" + std::to_string(seq)));
+    f.state.Write((seq / 8) * 128, ToBytes("other"));
+    f.state.TakeCheckpoint(seq, ToBytes("e"), nullptr);
+  }
+  f.state.Write(12 * 128, ToBytes("page12-dirty"));
+  EXPECT_NE(f.state.LiveNodeInfo(0, 0), *root8);
+  EXPECT_TRUE(ViewAt(f.state, 8) == view8);
+  auto page3 = f.state.GetPage(3, 8);
+  ASSERT_TRUE(page3.has_value());
+  EXPECT_EQ(page3->first, 8u);
+  EXPECT_EQ(ToString(ByteView(page3->second.data(), 8)), "page3-v1");
+  EXPECT_EQ(ReplicaState::PageDigest(3, page3->first, page3->second),
+            f.state.GetNodeInfo(f.state.leaf_level(), 3, 8)->second);
+}
+
+TEST(StateTest, ApplyFetchedPageLeavesOlderCheckpointServable) {
+  StateFixture f;
+  f.state.Write(5 * 128, ToBytes("page5-v1"));
+  f.state.TakeCheckpoint(8, ToBytes("e8"), nullptr);
+  f.state.Write(6 * 128, ToBytes("page6-v1"));
+  f.state.TakeCheckpoint(16, ToBytes("e16"), nullptr);
+  CheckpointView view8 = ViewAt(f.state, 8);
+  CheckpointView view16 = ViewAt(f.state, 16);
+
+  // A transfer towards checkpoint 24 overwrites pages 5 and 6 with newer values.
+  Bytes fetched(128, 0x42);
+  f.state.ApplyFetchedPage(5, 24, fetched);
+  f.state.ApplyFetchedPage(6, 24, fetched);
+  EXPECT_EQ(f.state.LiveNodeInfo(f.state.leaf_level(), 5).first, 24u);
+  EXPECT_TRUE(ViewAt(f.state, 8) == view8);
+  EXPECT_TRUE(ViewAt(f.state, 16) == view16);
+  EXPECT_EQ(f.state.retained_page_copies(), 4u);  // 5 and 6 at 16, 6 at 8, 5 at 0
+
+  // A page whose fetched lm is not newer than the newest checkpoint already held that value
+  // there (a state check repairing a corrupted page), so no pre-image is kept for it.
+  StateFixture g;
+  g.state.Write(2 * 128, ToBytes("good"));
+  g.state.TakeCheckpoint(8, ToBytes("e8"), nullptr);
+  auto good = g.state.GetPage(2, 8);
+  ASSERT_TRUE(good.has_value());
+  size_t copies = g.state.retained_page_copies();  // page 2 at checkpoint 0
+  const_cast<uint8_t*>(g.state.data())[2 * 128] ^= 0xff;
+  g.state.ApplyFetchedPage(2, good->first, good->second);
+  EXPECT_EQ(g.state.retained_page_copies(), copies);
+  EXPECT_EQ(g.state.GetPage(2, 8)->second, good->second);
+}
+
+TEST(StateTest, RetainedCopiesAreOnlyThePagesModifiedSinceOldestCheckpoint) {
+  StateFixture f(64, 4);
+  EXPECT_EQ(f.state.retained_page_copies(), 0u) << "Baseline must not copy the state";
+
+  // Epochs with disjoint dirty sets; repeated writes to one page keep one copy.
+  for (int i = 0; i < 100; ++i) {
+    f.state.Write(0, ToBytes("w" + std::to_string(i)));
+    f.state.Write(1 * 128, ToBytes("w" + std::to_string(i)));
+  }
+  EXPECT_EQ(f.state.retained_page_copies(), 2u);
+  f.state.TakeCheckpoint(8, ToBytes("e8"), nullptr);
+  for (uint64_t p = 2; p < 5; ++p) {
+    f.state.Write(p * 128, ToBytes("x"));
+  }
+  f.state.TakeCheckpoint(16, ToBytes("e16"), nullptr);
+  f.state.Write(5 * 128, ToBytes("dirty"));
+  EXPECT_EQ(f.state.retained_page_copies(), 6u);  // pages 0-5, modified since checkpoint 0
+
+  f.state.DiscardCheckpointsBelow(8);
+  EXPECT_EQ(f.state.retained_page_copies(), 4u);  // pages 2-5, modified since checkpoint 8
+  f.state.DiscardCheckpointsBelow(16);
+  EXPECT_EQ(f.state.retained_page_copies(), 1u);
+
+  // A long run with two retained checkpoints stays bounded by the pages it touches.
+  Rng rng(9);
+  for (SeqNo seq = 24; seq <= 400; seq += 8) {
+    for (int w = 0; w < 4; ++w) {
+      f.state.Write(rng.Below(64) * 128, rng.RandomBytes(8));
+    }
+    f.state.TakeCheckpoint(seq, ToBytes("e"), nullptr);
+    f.state.DiscardCheckpointsBelow(seq - 8);
+    EXPECT_LE(f.state.retained_page_copies(), 4u);
+    EXPECT_LT(f.state.retained_page_copies(), f.state.num_pages());
+  }
+
+  // A finalized transfer keeps no copies either.
+  f.state.ApplyFetchedPage(7, 500, Bytes(128, 1));
+  f.state.FinalizeFetchedCheckpoint(500, ToBytes("e500"));
+  EXPECT_EQ(f.state.retained_page_copies(), 0u);
 }
 
 class StateParamTest : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};

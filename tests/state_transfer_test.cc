@@ -108,5 +108,60 @@ TEST(StateTransferTest, RejoinedReplicaParticipatesInQuorums) {
   }
 }
 
+TEST(StateTransferTest, SlowTransferUnderLoadDoesNotStartLoneViewChange) {
+  // A replica that rejoins while clients keep writing has its view-change timer armed by
+  // their requests, which here go to every replica, but cannot execute them until its state
+  // transfer ends. DATA replies to it are delayed
+  // well past the view-change timeout, so the timer fires during the transfer; that must not
+  // send the replica into a view the healthy group never joins.
+  ClusterOptions options = TransferCluster(34);
+  options.config.state_pages = 64;
+  options.config.separate_transmission_threshold = 0;  // every request reaches every replica
+  Cluster cluster(options, [](NodeId) { return std::make_unique<KvService>(); });
+  Client* client = cluster.AddClient();
+  Bytes value(100, 'v');
+  auto put = [&](int i) {
+    return cluster.Execute(
+        client, KvService::PutOp(ToBytes("key-" + std::to_string(i % 5)), value), false,
+        60 * kSecond);
+  };
+
+  cluster.net().SetNodeDown(3, true);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(put(i).has_value());
+  }
+
+  constexpr NodeId kRelay = 9999;  // re-sent DATA bypasses the filter
+  const SimTime delay = 4 * options.config.view_change_timeout;
+  Cluster* c = &cluster;
+  cluster.net().SetFilter([c, delay](NodeId src, NodeId dst, const Bytes& msg) {
+    if (src == kRelay || dst != 3 || msg.empty() ||
+        msg[0] != static_cast<uint8_t>(MsgType::kData)) {
+      return Network::FilterAction::kDeliver;
+    }
+    Bytes copy = msg;
+    c->sim().Schedule(delay,
+                      [c, dst, copy]() { c->net().Send(kRelay, dst, copy, c->sim().Now()); });
+    return Network::FilterAction::kDrop;
+  });
+  cluster.net().SetNodeDown(3, false);
+  for (int i = 30; i < 45; ++i) {
+    ASSERT_TRUE(put(i).has_value());
+  }
+  ASSERT_GT(cluster.replica(3)->stats().state_transfers, 0u);
+
+  SeqNo group_executed = cluster.replica(0)->last_executed();
+  ASSERT_NE(group_executed % options.config.checkpoint_period, 0u)
+      << "end between checkpoints, so a transfer alone cannot reach the group";
+  cluster.sim().RunUntilCondition(
+      [&cluster, group_executed]() {
+        return cluster.replica(3)->last_executed() >= group_executed;
+      },
+      cluster.sim().Now() + 30 * kSecond);
+  EXPECT_EQ(cluster.replica(3)->view(), cluster.replica(0)->view());
+  EXPECT_EQ(cluster.replica(3)->last_executed(), group_executed);
+  EXPECT_EQ(cluster.replica(0)->last_executed(), group_executed);
+}
+
 }  // namespace
 }  // namespace bft
