@@ -58,7 +58,9 @@ struct ReplicaConfig {
   bool batching = true;
   size_t max_batch_requests = 16;                  // request digests per pre-prepare (Fig 6-1)
   size_t max_batch_bytes = 8192;
-  size_t batch_window = 4;                         // sliding window of open protocol instances
+  // Sliding window: pre-prepared batches the primary has not yet executed (tentatively or
+  // not). At 1, requests that arrive while a batch is open form the next batch.
+  size_t batch_window = 1;
   size_t separate_transmission_threshold = 255;    // bytes; larger requests multicast by client
 
   // --- Timers -------------------------------------------------------------------------------

@@ -264,8 +264,11 @@ void Replica::TrySendPrePrepare() {
     if (seqno_ >= low_ + config_->log_size) {
       return;  // log full; wait for a checkpoint to become stable
     }
-    if (seqno_ - last_exec_ >= config_->batch_window) {
-      return;  // sliding-window limit on parallel protocol instances (Section 5.1.4)
+    // Sliding window (Section 5.1.4): an instance stays open until this replica executes it,
+    // tentatively or not, so requests arriving meanwhile queue up for the next batch. Written
+    // as an addition: a new primary whose executed prefix is past seqno_ must not wrap.
+    if (seqno_ >= last_tentative_exec_ + config_->batch_window) {
+      return;
     }
 
     PrePrepareMsg pp;
@@ -959,6 +962,13 @@ void Replica::StartViewChange(View new_view) {
   obs_.view_changes->Inc();
   StopViewChangeTimer();
   SendViewChange();
+  // View-changes for this view that arrived while we were in an older one went unacked. The
+  // new primary may need exactly these acks to accept a quorum (Section 3.2.4), so send them.
+  for (const auto& [sender, vc] : vc_msgs_[view_]) {
+    if (sender != id()) {
+      MaybeAckViewChange(vc);
+    }
+  }
   // Liveness rule 1 (Section 2.3.5): the timer for "this view change failed, move on" starts
   // only once 2f+1 view-change messages for the view have arrived — otherwise replicas that
   // got ahead would keep outrunning the laggards forever.
@@ -1054,6 +1064,8 @@ void Replica::HandleViewChange(ViewChangeMsg m) {
   vc_msgs_[v][sender] = std::move(m);
 
   // Liveness rule: f+1 view-changes for higher views force us to join the smallest of them.
+  // Joining acks every view-change held for the joined view, this one included.
+  bool joined = false;
   if (v > view_) {
     std::map<View, int> higher;
     for (const auto& [view, msgs] : vc_msgs_) {
@@ -1067,10 +1079,13 @@ void Replica::HandleViewChange(ViewChangeMsg m) {
     }
     if (total >= config_->f() + 1) {
       StartViewChange(higher.begin()->first);
+      joined = true;
     }
   }
 
-  MaybeAckViewChange(vc_msgs_[v][sender]);
+  if (!joined) {
+    MaybeAckViewChange(vc_msgs_[v][sender]);
+  }
   TryAcceptViewChange(v, sender);
   MaybeStartPendingTimer();
   PrimaryTryNewView();

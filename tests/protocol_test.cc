@@ -5,6 +5,7 @@
 #include "src/service/counter_service.h"
 #include "src/service/kv_service.h"
 #include "src/service/null_service.h"
+#include "src/workload/closed_loop.h"
 #include "src/workload/cluster.h"
 
 namespace bft {
@@ -246,6 +247,49 @@ TEST(ProtocolTest, BatchingAssignsOneSeqToManyRequests) {
   uint64_t value = 0;
   cluster.replica(0)->state().Read(0, sizeof(value), reinterpret_cast<uint8_t*>(&value));
   EXPECT_EQ(value, 8u);
+}
+
+// Batching behind the open instance (Section 5.1.4's window at its default of one batch):
+// requests that reach the primary while its batch is still unexecuted share the next
+// pre-prepare. Returns the primary's counts after a closed-loop run has drained.
+struct BatchCounts {
+  uint64_t requests = 0;      // ops executed (the counter's final value)
+  uint64_t pre_prepares = 0;  // pre-prepares the primary sent, status retransmissions included
+  uint64_t batches = 0;       // bft_batch_size samples
+  uint64_t batched = 0;       // bft_batch_size sum
+};
+
+BatchCounts RunClosedLoopCounter(size_t clients) {
+  Cluster cluster(SmallCluster(11), CounterFactory());
+  ClosedLoopLoad load(
+      &cluster, clients, [](size_t, uint64_t) { return CounterService::IncOp(); }, false);
+  load.Run(50 * kMillisecond, 300 * kMillisecond);
+  cluster.sim().RunFor(2 * kSecond);  // the load stopped pumping; let in-flight ops finish
+
+  MetricsRegistry& m = cluster.metrics();
+  const std::string node = "node=\"0\"";
+  BatchCounts counts;
+  cluster.replica(0)->state().Read(0, sizeof(counts.requests),
+                                   reinterpret_cast<uint8_t*>(&counts.requests));
+  counts.pre_prepares =
+      m.GetCounter("bft_messages_out_total", node + ",type=\"pre_prepare\"")->value();
+  counts.batches = m.GetHistogram("bft_batch_size", node)->count();
+  counts.batched = m.GetHistogram("bft_batch_size", node)->sum();
+  EXPECT_EQ(cluster.replica(0)->view(), 0u);
+  EXPECT_EQ(counts.batched, counts.requests) << "every executed request ran exactly once";
+  return counts;
+}
+
+TEST(ProtocolTest, RequestsThatWaitShareTheNextBatch) {
+  BatchCounts many = RunClosedLoopCounter(8);
+  ASSERT_GT(many.batches, 0u);
+  EXPECT_GT(static_cast<double>(many.batched) / static_cast<double>(many.batches), 1.0)
+      << "mean bft_batch_size with 8 clients";
+  EXPECT_LT(many.pre_prepares, many.requests);
+
+  BatchCounts lone = RunClosedLoopCounter(1);
+  ASSERT_GT(lone.batches, 0u);
+  EXPECT_EQ(lone.batched, lone.batches) << "an idle primary pre-prepares a lone request at once";
 }
 
 TEST(ProtocolTest, TentativeExecutionDisabledStillCorrect) {

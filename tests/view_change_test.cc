@@ -2,6 +2,8 @@
 // silence primaries and check that the group re-elects and preserves committed state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/core/view_change.h"
 #include "src/service/counter_service.h"
 #include "src/workload/cluster.h"
@@ -244,6 +246,95 @@ TEST(ViewChangeIntegrationTest, CrashedPrimaryIsReplaced) {
   EXPECT_EQ(CounterService::DecodeValue(*result), 2u);
   // Some replica must have moved past view 0.
   EXPECT_GE(cluster.replica(1)->view(), 1u);
+}
+
+TEST(ViewChangeIntegrationTest, PrimaryCrashWithTentativeBatchOutstanding) {
+  // Five clients invoke at once: the first request opens an instance on its own and the other
+  // four queue behind it, forming the next batch. The primary dies once a backup has executed
+  // that batch tentatively but before it commits. The new primary must resume ordering, every
+  // op must run exactly once, and no live replica may be left behind.
+  Cluster cluster(SmallCluster(31), CounterFactory());
+  constexpr uint64_t kClients = 5;
+  std::vector<Client*> clients;
+  for (uint64_t i = 0; i < kClients; ++i) {
+    clients.push_back(cluster.AddClient());
+  }
+  std::vector<uint64_t> results;
+  auto invoke_all = [&clients, &results]() {
+    for (Client* c : clients) {
+      c->Invoke(CounterService::IncOp(), false, [&results](Bytes r) {
+        results.push_back(CounterService::DecodeValue(r));
+      });
+    }
+  };
+  invoke_all();
+
+  Replica* backup = cluster.replica(1);
+  ASSERT_TRUE(cluster.sim().RunUntilCondition(
+      [backup]() {
+        return backup->last_tentative_executed() > backup->last_executed() &&
+               backup->stats().requests_executed >= kClients;
+      },
+      10 * kSecond));
+  EXPECT_EQ(cluster.metrics().GetHistogram("bft_batch_size", "node=\"1\"")->count(), 2u)
+      << "the four queued requests should have shared one batch";
+  cluster.replica(0)->Crash();
+
+  ASSERT_TRUE(cluster.sim().RunUntilCondition([&results]() { return results.size() == kClients; },
+                                              cluster.sim().Now() + 60 * kSecond));
+  // A second round is ordered entirely by the new primary.
+  invoke_all();
+  ASSERT_TRUE(cluster.sim().RunUntilCondition(
+      [&results]() { return results.size() == 2 * kClients; }, cluster.sim().Now() + 60 * kSecond));
+  cluster.sim().RunFor(2 * kSecond);
+
+  std::sort(results.begin(), results.end());
+  for (uint64_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i], i + 1) << "each increment executes exactly once";
+  }
+  SeqNo executed = backup->last_executed();
+  for (int r = 1; r < cluster.num_replicas(); ++r) {
+    Replica* replica = cluster.replica(r);
+    EXPECT_GE(replica->view(), 1u) << "replica " << r;
+    EXPECT_EQ(replica->last_executed(), executed) << "replica " << r << " stalled";
+    uint64_t value = 0;
+    replica->state().Read(0, sizeof(value), reinterpret_cast<uint8_t*>(&value));
+    EXPECT_EQ(value, 2 * kClients) << "replica " << r;
+  }
+}
+
+TEST(ViewChangeIntegrationTest, LateJoinerAcksViewChangesItHeldBeforeJoining) {
+  // Replica 3 hears replica 2's view-change while still active in view 0, and joins view 1
+  // only when replica 1's arrives (f+1 for a higher view). With the primary of view 0 down,
+  // replica 3 is the only one left that can vouch for replica 2's message to the new primary,
+  // so it must ack the messages it already held when it joins. Otherwise view 1's primary
+  // never accepts a quorum and the group times out into view 2.
+  Cluster cluster(SmallCluster(32), CounterFactory());
+  Client* client = cluster.AddClient();
+  ASSERT_TRUE(cluster.Execute(client, CounterService::IncOp()).has_value());
+
+  cluster.replica(0)->Crash();
+  cluster.replica(2)->ForceViewChange();
+  cluster.sim().RunFor(5 * kMillisecond);
+  ASSERT_EQ(cluster.replica(3)->view(), 0u) << "one view-change must not pull replica 3 along";
+  cluster.replica(1)->ForceViewChange();
+  ASSERT_TRUE(cluster.sim().RunUntilCondition(
+      [&cluster]() {
+        for (int r = 1; r < cluster.num_replicas(); ++r) {
+          if (!cluster.replica(r)->view_active()) {
+            return false;
+          }
+        }
+        return true;
+      },
+      cluster.sim().Now() + 10 * kSecond));
+  for (int r = 1; r < cluster.num_replicas(); ++r) {
+    EXPECT_EQ(cluster.replica(r)->view(), 1u) << "replica " << r;
+  }
+  std::optional<Bytes> result =
+      cluster.Execute(client, CounterService::IncOp(), false, 60 * kSecond);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(CounterService::DecodeValue(*result), 2u);
 }
 
 TEST(ViewChangeIntegrationTest, MutePrimaryIsReplaced) {
