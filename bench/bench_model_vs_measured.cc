@@ -1,5 +1,7 @@
 // E12 — Analytic model vs measurement (thesis Chapter 7 vs Chapter 8): the Chapter-7
 // closed-form predictions next to the simulated measurements, with relative error.
+#include <algorithm>
+
 #include "bench/bench_util.h"
 
 using namespace bft;
@@ -58,18 +60,23 @@ int main(int argc, char** argv) {
   std::printf("%-24s %16s %16s %10s\n", "operation", "model (op/s)", "measured (op/s)",
               "error");
   {
-    PerfModel::OpParams p;
-    p.result_bytes = 8;
-    p.batch_size = 8;  // typical batch size observed under this load
-    double predicted = model.PredictThroughput(p);
     ClusterOptions options = BenchOptions(1300);
     Cluster cluster(options, NullFactory());
     ClosedLoopLoad load(
         &cluster, 20, [](size_t, uint64_t) { return NullService::MakeOp(false, 0, 8); },
         false);
     double measured = load.Run(kSecond, 4 * kSecond).ops_per_second;
+    // The model batches as the primary did in this run: its mean bft_batch_size.
+    Histogram* batches = cluster.metrics().GetHistogram("bft_batch_size", "node=\"0\"");
+    PerfModel::OpParams p;
+    p.result_bytes = 8;
+    p.batch_size = static_cast<size_t>(std::lround(static_cast<double>(batches->sum()) /
+                                                   static_cast<double>(std::max<uint64_t>(
+                                                       1, batches->count()))));
+    double predicted = model.PredictThroughput(p);
     double err = measured > 0 ? (predicted / measured - 1.0) * 100.0 : 0.0;
     std::printf("%-24s %16.0f %16.0f %+9.0f%%\n", "0/0 rw", predicted, measured, err);
+    std::printf("(model batch size: the primary's mean in this run, %zu)\n", p.batch_size);
     json.Row("0/0 rw throughput", {{"operation", "0/0 rw"}},
              {{"model_ops_per_s", predicted}, {"measured_ops_per_s", measured},
               {"error_pct", err}});

@@ -43,6 +43,8 @@ int main(int argc, char** argv) {
       {"all optimizations on", [](ReplicaConfig*) {}},
       {"no digest replies", [](ReplicaConfig* c) { c->digest_replies = false; }},
       {"no tentative execution", [](ReplicaConfig* c) { c->tentative_execution = false; }},
+      // One request per pre-prepare under the default window of one open batch: this row
+      // orders one request at a time, so it has neither batching nor pipelining.
       {"no batching", [](ReplicaConfig* c) { c->batching = false; }},
       {"no separate transmission",
        [](ReplicaConfig* c) { c->separate_transmission_threshold = 1 << 30; }},

@@ -1064,8 +1064,6 @@ void Replica::HandleViewChange(ViewChangeMsg m) {
   vc_msgs_[v][sender] = std::move(m);
 
   // Liveness rule: f+1 view-changes for higher views force us to join the smallest of them.
-  // Joining acks every view-change held for the joined view, this one included.
-  bool joined = false;
   if (v > view_) {
     std::map<View, int> higher;
     for (const auto& [view, msgs] : vc_msgs_) {
@@ -1079,21 +1077,18 @@ void Replica::HandleViewChange(ViewChangeMsg m) {
     }
     if (total >= config_->f() + 1) {
       StartViewChange(higher.begin()->first);
-      joined = true;
     }
   }
 
-  if (!joined) {
-    MaybeAckViewChange(vc_msgs_[v][sender]);
-  }
+  MaybeAckViewChange(vc_msgs_[v][sender]);
   TryAcceptViewChange(v, sender);
   MaybeStartPendingTimer();
   PrimaryTryNewView();
 }
 
 void Replica::MaybeAckViewChange(const ViewChangeMsg& m) {
-  if (m.view != view_ || view_active_) {
-    return;
+  if (m.view != view_ || view_active_ || vc_acks_[m.view][m.replica].count(id()) != 0) {
+    return;  // acked already, e.g. when joining the view (StartViewChange)
   }
   ViewChangeAckMsg ack;
   ack.view = m.view;

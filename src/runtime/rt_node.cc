@@ -102,6 +102,11 @@ bool RtNode::Post(std::function<void()> fn) {
   return true;
 }
 
+size_t RtNode::queued_messages() const {
+  MutexLock lock(mu_);
+  return inbox_.size();
+}
+
 void RtNode::EnqueueMessage(MsgBuffer message) {
   MutexLock lock(mu_);
   if (!attached_) {

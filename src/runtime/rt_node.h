@@ -43,6 +43,9 @@ class RtNode final : public Endpoint, public MessageSink {
   // node: e.g. posting Client::Invoke so it runs on the client's own thread. Returns false
   // — and drops nothing silently — if the loop has been stopped.
   bool Post(std::function<void()> fn);
+  // Datagrams delivered to the mailbox but not yet handled. Posted tasks run ahead of them,
+  // so a harness reading state through Post sees it as of before this backlog.
+  size_t queued_messages() const;
 
   // MessageSink (called from transport threads).
   void EnqueueMessage(MsgBuffer message) override;

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/runtime/rt_cluster.h"
+#include "src/runtime/rt_node.h"
 #include "src/service/kv_service.h"
 
 namespace bft {
@@ -67,12 +68,22 @@ void CommitKvOps(RtClusterOptions options) {
   EXPECT_EQ(client->stats().ops_completed, 100u);
 
   // Every live replica executed all 50 writes (reads bypass ordering). Sampled on each
-  // replica's own loop thread.
+  // replica's own loop thread. The sample runs ahead of datagrams already in that replica's
+  // mailbox, so a failure names the backlog: a replica descheduled under load can be several
+  // batches behind with their messages queued, which differs from one waiting for a message.
   for (int i = 0; i < cluster.num_replicas(); ++i) {
     SeqNo executed = 0;
+    SeqNo tentative = 0;
+    size_t queued = 0;
     Replica* replica = cluster.replica(i);
-    cluster.RunOn(i, [&executed, replica]() { executed = replica->last_executed(); });
-    EXPECT_GE(executed, 50u) << "replica " << i;
+    RtNode* node = static_cast<RtNode*>(replica->endpoint());
+    cluster.RunOn(i, [&executed, &tentative, &queued, replica, node]() {
+      executed = replica->last_executed();
+      tentative = replica->last_tentative_executed();
+      queued = node->queued_messages();
+    });
+    EXPECT_GE(executed, 50u) << "replica " << i << ": tentatively executed " << tentative
+                             << ", " << queued << " datagrams queued unhandled";
   }
 
   // The last write's commit deliveries race the client's certificate (2f+1 tentative
